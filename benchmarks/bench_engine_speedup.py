@@ -1,18 +1,16 @@
-"""Batched-vs-legacy engine throughput, tracked over time (BENCH_*.json).
+"""Kernel-vs-legacy engine throughput, tracked over time (BENCH_*.json).
 
 Two regimes bracket the engines' behaviour:
 
 * **hot-set** — the default workload here: per-processor working sets that
   fit the L1 (the paper's own methodology notes that "uniprocessor cache
   hit ratios are high" for the SPLASH-2 applications).  Nearly every
-  reference is a guaranteed hit that the batched engine's vectorised fast
-  path resolves in bulk; this is where the two-tier design wins big (>= 3x
-  over the reference interpreter on the default configuration).
+  reference is a guaranteed hit that the kernel's vectorised classifier
+  resolves in bulk, without walking it.
 * **miss-heavy** — the synthetic ``ocean`` trace whose records are
   deliberately miss-dense (each record stands for a run of references,
-  see ``repro.config.reduced_costs``).  Almost everything takes the slow
-  path, so this bounds the engine's worst case: bit-identical protocol
-  interpretation with lower constant factors.
+  see ``repro.config.reduced_costs``).  Almost everything is walked by
+  the compiled kernel, so this bounds the engine's worst case.
 
 Both benchmarks assert that the engines' statistics agree exactly before
 recording the timings — a speedup over wrong results would be worthless.
@@ -65,10 +63,9 @@ def miss_dense_spec(*, phases: int = 4, accesses_per_proc: int = 1500,
     always mines a *remote* slice): the migrating systems respond with
     page operations whose L1 shootdowns demote pre-classified hits, and
     the per-node working set exceeds both the L1 and the block cache so
-    the residual lane stays busy.  Every drawn block is referenced
+    the residual walk stays busy.  Every drawn block is referenced
     ``run_length`` times back to back — after the miss fill the tail of
-    each run is a deterministic hit (MigrantStore's observation), the
-    structure the engine's dynamic promotion lane resolves in bulk.
+    each run is a deterministic hit (MigrantStore's observation).
     """
     mig = PageGroup(name="mig", num_pages=96,
                     pattern=SharingPattern.MIGRATORY,
@@ -106,7 +103,7 @@ def miss_dense_config():
 def _time_engines(cfg, system, trace):
     """Run both engines on fresh machines; return (times, stats) per engine."""
     out = {}
-    for engine in ("legacy", "batched"):
+    for engine in ("legacy", "kernel"):
         machine = Machine(cfg, build_system(system))
         start = time.perf_counter()
         stats = machine.run(trace, engine=engine)
@@ -122,37 +119,41 @@ def _assert_identical(a, b):
     assert a.network_bytes == b.network_bytes
 
 
+def _bench_kernel(benchmark, cfg, system, trace):
+    """Assert kernel == legacy, benchmark the kernel, record the ratio."""
+    results = _time_engines(cfg, system, trace)
+    _assert_identical(results["legacy"][1], results["kernel"][1])
+
+    def run_kernel():
+        machine = Machine(cfg, build_system(system))
+        return machine.run(trace, engine="kernel")
+
+    benchmark.pedantic(run_kernel, rounds=3, iterations=1, warmup_rounds=0)
+    legacy_s = results["legacy"][0]
+    kernel_s = results["kernel"][0]
+    benchmark.extra_info["accesses"] = trace.total_accesses()
+    benchmark.extra_info["legacy_s"] = round(legacy_s, 4)
+    benchmark.extra_info["kernel_s"] = round(kernel_s, 4)
+    benchmark.extra_info["speedup"] = round(legacy_s / kernel_s, 2)
+    benchmark.extra_info["refs_per_s_kernel"] = int(
+        trace.total_accesses() / kernel_s)
+
+
 def test_engine_speedup_hot_set(benchmark):
-    """Batched-engine speedup on the default (high-hit-ratio) workload."""
+    """Kernel speedup on the default (high-hit-ratio) workload."""
     cfg = base_config(seed=0)
     accesses = max(2000, int(4000 * bench_scale()))
     trace = TraceGenerator(hot_set_spec(accesses_per_proc=accesses),
                            cfg.machine, seed=0).generate()
-
-    results = _time_engines(cfg, "ccnuma", trace)
-    _assert_identical(results["legacy"][1], results["batched"][1])
-
-    def run_batched():
-        machine = Machine(cfg, build_system("ccnuma"))
-        return machine.run(trace, engine="batched")
-
-    benchmark.pedantic(run_batched, rounds=3, iterations=1, warmup_rounds=0)
-    legacy_s = results["legacy"][0]
-    batched_s = results["batched"][0]
-    benchmark.extra_info["accesses"] = trace.total_accesses()
-    benchmark.extra_info["legacy_s"] = round(legacy_s, 4)
-    benchmark.extra_info["batched_s"] = round(batched_s, 4)
-    benchmark.extra_info["speedup"] = round(legacy_s / batched_s, 2)
-    benchmark.extra_info["refs_per_s_batched"] = int(
-        trace.total_accesses() / batched_s)
+    _bench_kernel(benchmark, cfg, "ccnuma", trace)
 
 
 @pytest.mark.parametrize("system", ["migrep", "rnuma"])
 def test_engine_speedup_miss_dense_runs(benchmark, system):
-    """Dynamic-promotion speedup on the miss-dense post-fill-run workload.
+    """Kernel speedup on the miss-dense post-fill-run workload.
 
     This is the configuration ``scripts/bench_compare.py`` tracks in
-    ``BENCH_engine.json``: the residual lane dominated by miss fills
+    ``BENCH_engine.json``: the residual walk dominated by miss fills
     followed by same-block runs, with page-operation shootdowns (on the
     migrating systems) demoting pre-classified hits mid-phase.
     """
@@ -160,37 +161,7 @@ def test_engine_speedup_miss_dense_runs(benchmark, system):
     accesses = max(800, int(3000 * bench_scale()))
     trace = TraceGenerator(miss_dense_spec(accesses_per_proc=accesses),
                            cfg.machine, seed=0).generate()
-
-    results = _time_engines(cfg, system, trace)
-    _assert_identical(results["legacy"][1], results["batched"][1])
-
-    # the same run with dynamic promotion disabled brackets what the
-    # promotion lane buys (and approximates the pre-promotion engine)
-    os.environ["REPRO_PROMOTION"] = "0"
-    try:
-        machine = Machine(cfg, build_system(system))
-        start = time.perf_counter()
-        stats_off = machine.run(trace, engine="batched")
-        nopromo_s = time.perf_counter() - start
-    finally:
-        os.environ.pop("REPRO_PROMOTION", None)
-    _assert_identical(results["batched"][1], stats_off)
-
-    def run_batched():
-        machine = Machine(cfg, build_system(system))
-        return machine.run(trace, engine="batched")
-
-    benchmark.pedantic(run_batched, rounds=3, iterations=1, warmup_rounds=0)
-    legacy_s = results["legacy"][0]
-    batched_s = results["batched"][0]
-    benchmark.extra_info["accesses"] = trace.total_accesses()
-    benchmark.extra_info["legacy_s"] = round(legacy_s, 4)
-    benchmark.extra_info["batched_s"] = round(batched_s, 4)
-    benchmark.extra_info["nopromo_s"] = round(nopromo_s, 4)
-    benchmark.extra_info["speedup"] = round(legacy_s / batched_s, 2)
-    benchmark.extra_info["promotion_speedup"] = round(nopromo_s / batched_s, 2)
-    benchmark.extra_info["refs_per_s_batched"] = int(
-        trace.total_accesses() / batched_s)
+    _bench_kernel(benchmark, cfg, system, trace)
 
 
 def test_sweep_warm_workers(benchmark):
@@ -234,22 +205,8 @@ def test_sweep_warm_workers(benchmark):
 
 @pytest.mark.parametrize("system", ["ccnuma", "migrep", "rnuma"])
 def test_engine_speedup_miss_heavy(benchmark, system):
-    """Batched-engine speedup on the miss-dense synthetic ocean trace."""
+    """Kernel speedup on the miss-dense synthetic ocean trace."""
     cfg = base_config(seed=0)
     trace = get_workload("ocean", machine=cfg.machine,
                          scale=max(0.05, 0.2 * bench_scale()), seed=0)
-
-    results = _time_engines(cfg, system, trace)
-    _assert_identical(results["legacy"][1], results["batched"][1])
-
-    def run_batched():
-        machine = Machine(cfg, build_system(system))
-        return machine.run(trace, engine="batched")
-
-    benchmark.pedantic(run_batched, rounds=3, iterations=1, warmup_rounds=0)
-    legacy_s = results["legacy"][0]
-    batched_s = results["batched"][0]
-    benchmark.extra_info["accesses"] = trace.total_accesses()
-    benchmark.extra_info["legacy_s"] = round(legacy_s, 4)
-    benchmark.extra_info["batched_s"] = round(batched_s, 4)
-    benchmark.extra_info["speedup"] = round(legacy_s / batched_s, 2)
+    _bench_kernel(benchmark, cfg, system, trace)

@@ -6,7 +6,7 @@ and the trace generator), which is what governs how long the figure/table
 benchmarks above take.
 
 ``test_machine_throughput`` is parametrized over both execution engines
-(:mod:`repro.engine`), so the recorded numbers track the batched engine's
+(:mod:`repro.engine`), so the recorded numbers track the kernel's
 win over the reference interpreter per protocol family.
 """
 

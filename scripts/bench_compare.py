@@ -1,61 +1,50 @@
 #!/usr/bin/env python
 """Track and gate the engine benchmarks against BENCH_engine.json.
 
-The repository commits ``BENCH_engine.json``: a recorded baseline of the
-engine's headline numbers (the PR 4 engine on the miss-dense reference
-configuration) plus the numbers recorded for the current tree.  This
-script re-measures the same quantities and
+The repository commits ``BENCH_engine.json``: the engine's headline
+numbers recorded for the current tree (``current``) next to the last
+record of the previous schema (``before``).  This script re-measures
+the same quantities and
 
 * ``--record``  rewrites the ``current`` section (run on the machine
   whose numbers you want committed),
 * ``--check``   fails (exit 1) when the fresh measurements regress —
-  used in CI, so the comparisons are *ratios* (batched vs legacy on the
-  same host, promotion on vs off, warm vs cold sweep workers), which
-  transfer across machines, never absolute wall times.
+  used in CI, so the comparisons are *ratios* (kernel vs legacy on the
+  same host, warm vs cold sweep workers, streamed vs in-memory, store vs
+  no store), which transfer across machines, never absolute wall times.
 
-Gates enforced by ``--check`` (record schema 5):
+Gates enforced by ``--check`` (record schema 6):
 
-1. On the miss-dense configuration (``benchmarks/bench_engine_speedup.
-   miss_dense_spec``) the batched engine's speedup over the legacy
-   interpreter for ``migrep`` must be at least ``1.3x`` the PR 4
-   baseline's recorded speedup (the dynamic-promotion / line-precise
-   demotion / inlined-upgrade work), and ``rnuma`` must not regress
-   below the baseline band.
-2. Adaptive promotion (the default) must not lose to either forced
-   mode: ``promotion_speedup`` (forced-on over adaptive) and
-   ``nopromo_speedup`` (forced-off over adaptive) both stay within the
-   tolerance band of 1.0.
-3. The compiled residual kernel (``engine=kernel``) must hold a
-   ``>= 5x`` miss-dense migrep speedup over the batched engine on the
-   same host, and the full-family lanes added with schema 5 — ``rnuma``
-   (the R-NUMA relocation lane), ``rnuma_migrep`` (the hybrid) and
-   ``hysteresis`` (migrep under the adaptive hysteresis policy, its
-   evaluation inlined in the compiled walk) — must each hold
-   ``>= 4x``.  None may
-   regress below the committed ``current`` band.  When no compiled
-   backend exists on the host (no numba, no C toolchain) the lanes
-   record their ``fallback_reason`` and the gates are skipped — the
-   pure-Python install stays green.
-4. The warm shared-memory ``jobs=2`` sweep must not be slower than the
-   cold per-worker npz path beyond the tolerance band.
-5. The hot-set batched-vs-legacy speedup must stay within the band of
+1. The compiled residual kernel (``engine=kernel``, the default) must
+   beat the legacy interpreter on the miss-dense configuration
+   (``benchmarks/bench_engine_speedup.miss_dense_spec``) on the same
+   host by ``>= 8x`` for ``migrep``, ``>= 7x`` for ``rnuma`` (the
+   R-NUMA relocation lane), ``>= 6x`` for ``rnuma_migrep`` (the hybrid)
+   and ``>= 4x`` for ``hysteresis`` (migrep under the adaptive
+   hysteresis policy, its evaluation inlined in the compiled walk) —
+   and none may regress below the committed ``current`` band.  When the
+   kernel falls back (no C toolchain) the lanes record their
+   ``fallback_reason`` and the gates are skipped, so a compiler-less
+   install stays green.
+2. The hot-set kernel-vs-legacy speedup must stay within the band of
    the committed ``current`` recording.
-6. Streaming a trace from an on-disk trace file
+3. The warm shared-memory ``jobs=2`` sweep must not be slower than the
+   cold per-worker npz path beyond the tolerance band.
+4. Streaming a trace from an on-disk trace file
    (:class:`repro.workloads.tracefile.StreamingTrace`) must cost at most
-   10% over running the same trace in memory (schema 3, ``streaming``
-   lane) — the mmap-served phase views are supposed to be within noise
-   of heap arrays, and this lane keeps the out-of-core path honest.
-7. A sweep checkpointing into a **cold** durable
+   10% over running the same trace in memory — the mmap-served phase
+   views are supposed to be within noise of heap arrays, and this lane
+   keeps the out-of-core path honest.
+5. A sweep checkpointing into a **cold** durable
    :class:`~repro.experiments.store.ResultStore` must cost at most 10%
-   over the same sweep without a store (schema 4, ``store`` lane) —
-   the per-run pickle+upsert is supposed to disappear next to
-   simulation time.  The warm-store replay time is recorded
-   informationally (it is bounded by unpickling, typically a tiny
-   fraction of the cold sweep).
+   over the same sweep without a store — the per-run pickle+upsert is
+   supposed to disappear next to simulation time.  The warm-store
+   replay time is recorded informationally (it is bounded by
+   unpickling, typically a tiny fraction of the cold sweep).
 
-Every timing lane also asserts bit-identical results across engines and
-promotion modes first — a speedup over wrong results is worthless.
-Everything measured is also printed, so CI logs double as a perf record.
+Every timing lane also asserts bit-identical results across engines
+first — a speedup over wrong results is worthless.  Everything measured
+is also printed, so CI logs double as a perf record.
 """
 
 from __future__ import annotations
@@ -74,6 +63,10 @@ sys.path.insert(0, str(REPO / "benchmarks"))
 
 BENCH_FILE = REPO / "BENCH_engine.json"
 
+#: (miss-dense lane, minimum kernel speedup over legacy) — gate 1
+KERNEL_FLOORS = (("migrep", 8.0), ("rnuma", 7.0), ("rnuma_migrep", 6.0),
+                 ("hysteresis", 4.0))
+
 
 def _build_system(system):
     """Resolve a lane's system: registry names plus the bench-local
@@ -86,56 +79,33 @@ def _build_system(system):
     return build_system(system)
 
 
-def _one_run(cfg, system, trace, engine, env):
-    """One timed run.  ``env`` pins ``REPRO_PROMOTION``: ``"1"`` /
-    ``"0"`` force promotion on/off, ``""`` unsets it (the adaptive
-    default), ``None`` leaves the ambient environment alone."""
+def _one_run(cfg, system, trace, engine):
+    """One timed run on a fresh machine."""
     from repro.cluster.machine import Machine
 
-    saved = None
-    if env is not None:
-        saved = os.environ.get("REPRO_PROMOTION")
-        if env == "":
-            os.environ.pop("REPRO_PROMOTION", None)
-        else:
-            os.environ["REPRO_PROMOTION"] = env
-    try:
-        machine = Machine(cfg, _build_system(system))
-        t0 = time.perf_counter()
-        stats = machine.run(trace, engine=engine)
-        return time.perf_counter() - t0, stats
-    finally:
-        if env is not None:
-            if saved is None:
-                os.environ.pop("REPRO_PROMOTION", None)
-            else:
-                os.environ["REPRO_PROMOTION"] = saved
+    machine = Machine(cfg, _build_system(system))
+    t0 = time.perf_counter()
+    stats = machine.run(trace, engine=engine)
+    return time.perf_counter() - t0, stats
 
 
-def _median_run(cfg, system, trace, engine, *, env=None, repeats=3):
-    """Median-of-``repeats`` wall time for one (system, engine) lane."""
-    (med,), (stats,) = _interleaved_runs(cfg, system, trace,
-                                         [(engine, env)], repeats)
-    return med, stats
+def _interleaved_runs(cfg, system, trace, engines, repeats):
+    """Median times for several engines, repeats interleaved round-robin.
 
-
-def _interleaved_runs(cfg, system, trace, lanes, repeats):
-    """Median times for several lanes, repeats interleaved round-robin.
-
-    The lanes being compared are always ratioed against each other, and
-    wall-clock drift on shared machines (CPU frequency, co-tenants)
-    easily exceeds the effects being measured.  Interleaving the
-    repeats spreads the drift over every lane instead of loading it
-    onto whichever lane ran last.  Returns ``(medians, stats)`` in lane
-    order; each lane gets one free warmup run first.
+    The engines being compared are always ratioed against each other,
+    and wall-clock drift on shared machines (CPU frequency, co-tenants)
+    easily exceeds the effects being measured.  Interleaving the repeats
+    spreads the drift over every engine instead of loading it onto
+    whichever ran last.  Returns ``(medians, stats)`` in engine order;
+    each engine gets one free warmup run first.
     """
-    times = [[] for _ in lanes]
-    stats = [None] * len(lanes)
-    for j, (engine, env) in enumerate(lanes):
-        _one_run(cfg, system, trace, engine, env)
+    times = [[] for _ in engines]
+    stats = [None] * len(engines)
+    for engine in engines:
+        _one_run(cfg, system, trace, engine)
     for _ in range(repeats):
-        for j, (engine, env) in enumerate(lanes):
-            t, st = _one_run(cfg, system, trace, engine, env)
+        for j, engine in enumerate(engines):
+            t, st = _one_run(cfg, system, trace, engine)
             times[j].append(t)
             stats[j] = st
     return [statistics.median(t) for t in times], stats
@@ -150,37 +120,33 @@ def _assert_identical(system, a, b) -> None:
             "wrong results is worthless")
 
 
-def _kernel_lane(cfg, system, trace, batched_s, batched_stats,
-                 repeats) -> dict:
-    """Time ``engine=kernel`` on the same trace; assert bit-identity.
+def _engine_lane(cfg, system, trace, repeats) -> dict:
+    """Time ``legacy`` and ``kernel`` on the same trace; assert identity.
 
-    When the kernel falls back (no compiled backend, ineligible
-    system) the lane records the fallback reason instead of timings so
-    the committed file documents *why* there is no kernel number.
+    When the kernel falls back (no C toolchain, ineligible system) the
+    ``kernel`` sub-record holds the fallback reason instead of timings,
+    so the committed file documents *why* there is no kernel number.
     """
-    kernel_s, kernel_stats = _median_run(cfg, system, trace, "kernel",
-                                         repeats=repeats)
+    (legacy_s, kernel_s), (legacy_stats, kernel_stats) = _interleaved_runs(
+        cfg, system, trace, ("legacy", "kernel"), repeats)
+    _assert_identical(system, legacy_stats, kernel_stats)
     prof = kernel_stats.engine_profile or {}
+    out = {"legacy_s": round(legacy_s, 4)}
     if prof.get("engine") != "kernel":
-        return {"fallback_reason": prof.get("fallback_reason", "?")}
-    _assert_identical(system, batched_stats, kernel_stats)
-    return {
+        out["kernel"] = {"fallback_reason": prof.get("fallback_reason", "?")}
+        return out
+    out["kernel"] = {
         "backend": prof.get("backend", "?"),
         "kernel_s": round(kernel_s, 4),
         "refs_per_s": int(trace.total_accesses() / kernel_s),
-        "speedup_vs_batched": round(batched_s / kernel_s, 3),
+        "speedup_vs_legacy": round(legacy_s / kernel_s, 3),
         "bails": int(prof.get("bails", 0)),
     }
+    return out
 
 
 def measure_miss_dense(scale: float, repeats: int) -> dict:
-    """Engine and promotion-mode timings on the miss-dense configuration.
-
-    ``batched_s`` is the adaptive-promotion default; the forced modes
-    (``promo_on_s`` / ``nopromo_s``) quantify what the per-phase
-    decision buys, and the ``kernel`` sub-record times the compiled
-    residual kernel against the same trace.
-    """
+    """Kernel-vs-legacy timings on the miss-dense configuration."""
     from bench_engine_speedup import miss_dense_config, miss_dense_spec
     from repro.workloads.generator import TraceGenerator
 
@@ -189,60 +155,15 @@ def measure_miss_dense(scale: float, repeats: int) -> dict:
     trace = TraceGenerator(miss_dense_spec(accesses_per_proc=accesses),
                            cfg.machine, seed=0).generate()
     out = {"accesses": trace.total_accesses()}
-    for system in ("migrep", "rnuma"):
-        legacy_s, legacy_stats = _median_run(cfg, system, trace, "legacy",
-                                             repeats=max(1, repeats - 1))
-        lanes = [("batched", ""), ("batched", "1"), ("batched", "0")]
-        ((batched_s, promo_on_s, nopromo_s),
-         (batched_stats, promo_on_stats, nopromo_stats)) = _interleaved_runs(
-            cfg, system, trace, lanes, repeats)
-        for other in (batched_stats, promo_on_stats, nopromo_stats):
-            _assert_identical(system, legacy_stats, other)
-        prof = batched_stats.engine_profile or {}
-        decisions = prof.get("phase_promotions") or []
-        out[system] = {
-            "legacy_s": round(legacy_s, 4),
-            "batched_s": round(batched_s, 4),
-            "promo_on_s": round(promo_on_s, 4),
-            "nopromo_s": round(nopromo_s, 4),
-            "refs_per_s": int(trace.total_accesses() / batched_s),
-            "speedup_vs_legacy": round(legacy_s / batched_s, 3),
-            "promotion_speedup": round(promo_on_s / batched_s, 3),
-            "nopromo_speedup": round(nopromo_s / batched_s, 3),
-            "promotion_mode": prof.get("promotion_mode", "?"),
-            "phases_promoted": sum(
-                1 for d in decisions if d.get("promotion")),
-            "phases": len(decisions),
-            "promoted": int(prof.get("promoted", 0)),
-            "demoted": int(prof.get("demoted", 0)),
-            "residual": int(prof.get("residual", 0)),
-            "kernel": _kernel_lane(cfg, system, trace, batched_s,
-                                   batched_stats, repeats),
-        }
-    # full-family kernel lanes (schema 5): the hybrid system and the
-    # adaptive-policy ride-along get a lighter record — legacy, batched
-    # and the gated kernel number — without the promotion-mode sweep
-    for system, key in (("rnuma-migrep", "rnuma_migrep"),
+    for system, key in (("migrep", "migrep"), ("rnuma", "rnuma"),
+                        ("rnuma-migrep", "rnuma_migrep"),
                         ("hysteresis", "hysteresis")):
-        legacy_s, legacy_stats = _median_run(cfg, system, trace, "legacy",
-                                             repeats=max(1, repeats - 1))
-        batched_s, batched_stats = _median_run(cfg, system, trace,
-                                               "batched", env="",
-                                               repeats=repeats)
-        _assert_identical(system, legacy_stats, batched_stats)
-        out[key] = {
-            "legacy_s": round(legacy_s, 4),
-            "batched_s": round(batched_s, 4),
-            "refs_per_s": int(trace.total_accesses() / batched_s),
-            "speedup_vs_legacy": round(legacy_s / batched_s, 3),
-            "kernel": _kernel_lane(cfg, system, trace, batched_s,
-                                   batched_stats, repeats),
-        }
+        out[key] = _engine_lane(cfg, system, trace, repeats)
     return out
 
 
 def measure_hot_set(scale: float, repeats: int) -> dict:
-    """Batched-vs-legacy speedup on the high-hit-ratio workload."""
+    """Kernel-vs-legacy speedup on the high-hit-ratio workload."""
     from bench_engine_speedup import hot_set_spec
     from repro.config import base_config
     from repro.workloads.generator import TraceGenerator
@@ -251,19 +172,8 @@ def measure_hot_set(scale: float, repeats: int) -> dict:
     accesses = max(1000, int(2000 * scale))
     trace = TraceGenerator(hot_set_spec(accesses_per_proc=accesses),
                            cfg.machine, seed=0).generate()
-    legacy_s, legacy_stats = _median_run(cfg, "ccnuma", trace, "legacy",
-                                         repeats=repeats)
-    batched_s, batched_stats = _median_run(cfg, "ccnuma", trace, "batched",
-                                           env="", repeats=repeats)
-    _assert_identical("ccnuma", legacy_stats, batched_stats)
-    return {
-        "accesses": trace.total_accesses(),
-        "legacy_s": round(legacy_s, 4),
-        "batched_s": round(batched_s, 4),
-        "speedup_vs_legacy": round(legacy_s / batched_s, 3),
-        "kernel": _kernel_lane(cfg, "ccnuma", trace, batched_s,
-                               batched_stats, repeats),
-    }
+    return {"accesses": trace.total_accesses(),
+            **_engine_lane(cfg, "ccnuma", trace, repeats)}
 
 
 def measure_sweep(scale: float) -> dict:
@@ -315,7 +225,7 @@ def measure_sweep(scale: float) -> dict:
 def measure_streaming(scale: float, repeats: int) -> dict:
     """In-memory vs streamed-from-file timings of the same trace.
 
-    Writes a figure-sized trace to a trace file, then times the batched
+    Writes a figure-sized trace to a trace file, then times the default
     engine over the in-memory :class:`Trace` and over the mmap-backed
     :class:`StreamingTrace` of the same file, repeats interleaved to
     cancel drift.  Results must be bit-identical; the gate is on the
@@ -337,10 +247,10 @@ def measure_streaming(scale: float, repeats: int) -> dict:
         times = {label: [] for label, _ in lanes}
         stats = {}
         for label, tr in lanes:            # warmup (maps the file once)
-            _one_run(cfg, "migrep", tr, "batched", "")
+            _one_run(cfg, "migrep", tr, None)
         for _ in range(repeats):
             for label, tr in lanes:
-                t, st = _one_run(cfg, "migrep", tr, "batched", "")
+                t, st = _one_run(cfg, "migrep", tr, None)
                 times[label].append(t)
                 stats[label] = st
         _assert_identical("migrep", stats["memory"], stats["file"])
@@ -434,73 +344,51 @@ def _fail(msgs, msg):
 def check(measured: dict, recorded: dict, tolerance: float) -> int:
     """Compare fresh measurements against the committed record."""
     failures: list = []
-    baseline = recorded.get("baseline", {})
     current = recorded.get("current", {})
 
-    # 1. miss-dense speedup vs the PR 4 baseline (ratio of ratios)
-    pr4_md = baseline.get("miss_dense", {})
+    # 1. compiled kernel lanes vs legacy on the same host, each above
+    # its floor and none below the band of the committed recording.  A
+    # fallback (no C toolchain on this host) skips that lane's gate by
+    # design.
     md = measured["miss_dense"]
-    pr4_migrep = pr4_md.get("migrep", {}).get("speedup_vs_legacy")
-    if pr4_migrep:
-        need = pr4_migrep * 1.3 * (1 - tolerance)
-        got = md["migrep"]["speedup_vs_legacy"]
-        print(f"miss-dense migrep speedup vs legacy: {got:.2f} "
-              f"(PR4 {pr4_migrep:.2f}; gate >= {need:.2f})")
-        if got < need:
-            _fail(failures, "miss-dense migrep speedup fell below 1.3x the "
-                            "PR 4 baseline")
-    pr4_rnuma = pr4_md.get("rnuma", {}).get("speedup_vs_legacy")
-    if pr4_rnuma:
-        need = pr4_rnuma * (1 - tolerance)
-        got = md["rnuma"]["speedup_vs_legacy"]
-        print(f"miss-dense rnuma speedup vs legacy: {got:.2f} "
-              f"(PR4 {pr4_rnuma:.2f}; gate >= {need:.2f})")
-        if got < need:
-            _fail(failures, "miss-dense rnuma speedup regressed below the "
-                            "PR 4 band")
-
-    # 2. adaptive promotion must not lose to either forced mode
-    for system in ("migrep", "rnuma"):
-        for key, label in (("promotion_speedup", "forced-on"),
-                           ("nopromo_speedup", "forced-off")):
-            ratio = md[system].get(key)
-            if ratio is None:
-                continue
-            print(f"miss-dense {system} {label} / adaptive: {ratio:.2f} "
-                  f"(gate >= {1 - tolerance:.2f})")
-            if ratio < 1 - tolerance:
-                _fail(failures,
-                      f"adaptive promotion loses to {label} on the "
-                      f"{system} miss-dense run beyond the tolerance band")
-
-    # 3. compiled kernel lanes: migrep >= 5x over batched on the same
-    # host; the full-family lanes (rnuma relocation, the hybrid, and
-    # migrep under the inlined hysteresis policy) >= 4x each — and
-    # none below the band of the committed recording.  A fallback (no
-    # compiled backend on this host) skips that lane's gate by design.
-    for key, floor in (("migrep", 5.0), ("rnuma", 4.0),
-                       ("rnuma_migrep", 4.0), ("hysteresis", 4.0)):
+    for key, floor in KERNEL_FLOORS:
         kernel = md.get(key, {}).get("kernel", {})
-        if "speedup_vs_batched" not in kernel:
+        if "speedup_vs_legacy" not in kernel:
             print(f"miss-dense {key} kernel: fell back "
                   f"({kernel.get('fallback_reason', 'no record')}) — gate "
                   "skipped")
             continue
-        got = kernel["speedup_vs_batched"]
+        got = kernel["speedup_vs_legacy"]
         need = floor * (1 - tolerance)
         print(f"miss-dense {key} kernel ({kernel.get('backend')}) vs "
-              f"batched: x{got:.2f} at {kernel['refs_per_s']:,} refs/s "
+              f"legacy: x{got:.2f} at {kernel['refs_per_s']:,} refs/s "
               f"(gate >= x{need:.2f})")
         if got < need:
-            _fail(failures, f"{key} kernel speedup over batched fell "
+            _fail(failures, f"{key} kernel speedup over legacy fell "
                             f"below the {floor:g}x floor")
         cur_kernel = (current.get("miss_dense", {}).get(key, {})
-                      .get("kernel", {}).get("speedup_vs_batched"))
+                      .get("kernel", {}).get("speedup_vs_legacy"))
         if cur_kernel and got < cur_kernel * (1 - tolerance):
             _fail(failures, f"{key} kernel speedup regressed below the "
                             "committed band")
 
-    # 4. warm shared-memory workers must not lose to the cold path.  Both
+    # 2. hot-set band vs the committed current recording
+    hot_kernel = measured["hot_set"].get("kernel", {})
+    cur_hot = (current.get("hot_set", {}).get("kernel", {})
+               .get("speedup_vs_legacy"))
+    hot = hot_kernel.get("speedup_vs_legacy")
+    if hot is None:
+        print("hot-set kernel: fell back — gate skipped")
+    elif cur_hot:
+        need = cur_hot * (1 - tolerance)
+        print(f"hot-set kernel speedup vs legacy: {hot:.2f} "
+              f"(recorded {cur_hot:.2f}; gate >= {need:.2f})")
+        if hot < need:
+            _fail(failures, "hot-set kernel speedup regressed")
+    else:
+        print(f"hot-set kernel speedup vs legacy: {hot:.2f} (no recording)")
+
+    # 3. warm shared-memory workers must not lose to the cold path.  Both
     # sides are fresh best-of-two wall clocks (no committed anchor), so
     # the margin is doubled to keep small shared CI machines from
     # flaking the build.
@@ -511,19 +399,7 @@ def check(measured: dict, recorded: dict, tolerance: float) -> int:
         _fail(failures, "warm shared-memory sweep slower than the cold npz "
                         "path")
 
-    # 5. hot-set band vs the committed current recording
-    cur_hot = current.get("hot_set", {}).get("speedup_vs_legacy")
-    hot = measured["hot_set"]["speedup_vs_legacy"]
-    if cur_hot:
-        need = cur_hot * (1 - tolerance)
-        print(f"hot-set speedup vs legacy: {hot:.2f} "
-              f"(recorded {cur_hot:.2f}; gate >= {need:.2f})")
-        if hot < need:
-            _fail(failures, "hot-set batched speedup regressed")
-    else:
-        print(f"hot-set speedup vs legacy: {hot:.2f} (no recording)")
-
-    # 6. streaming overhead: a file-served run may cost at most 10% over
+    # 4. streaming overhead: a file-served run may cost at most 10% over
     # the in-memory run of the same trace (both sides fresh wall clocks,
     # so the tolerance band widens the fixed gate rather than anchoring
     # to a committed number)
@@ -536,10 +412,10 @@ def check(measured: dict, recorded: dict, tolerance: float) -> int:
             _fail(failures, "file-streamed run exceeded the 10% overhead "
                             "budget over the in-memory run")
 
-    # 7. cold-store checkpointing overhead: a sweep writing every result
+    # 5. cold-store checkpointing overhead: a sweep writing every result
     # into a fresh ResultStore may cost at most 10% over the same sweep
     # without a store (fixed gate widened by the tolerance band, same
-    # shape as gate 6).  The warm number is informational: it is a
+    # shape as gate 4).  The warm number is informational: it is a
     # replay, not a simulation.
     store = measured.get("store")
     if store:
@@ -591,7 +467,7 @@ def main(argv=None) -> int:
     print(json.dumps(measured, indent=2))
 
     if args.record:
-        recorded["schema"] = 5
+        recorded["schema"] = 6
         recorded["current"] = {
             "scale": args.scale,
             **measured,

@@ -78,8 +78,8 @@ The public API is intentionally small:
     :meth:`ServiceClient.submit` from Python).
 
 ``ENGINE_NAMES``
-    the available execution engines (``"batched"``, the vectorised
-    two-tier default, and ``"legacy"``, the reference interpreter); pick
+    the available execution engines (``"kernel"``, the compiled default,
+    and ``"legacy"``, the reference interpreter); pick
     one per run with ``Machine.run(trace, engine=...)`` or globally with
     the ``REPRO_ENGINE`` environment variable.
 

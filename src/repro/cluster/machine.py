@@ -6,10 +6,11 @@ configuration (:class:`repro.core.factory.SystemSpec`), and drives a
 workload trace through one of the execution engines in
 :mod:`repro.engine`:
 
-* ``batched`` (the default) — the two-tier engine: guaranteed L1 hits are
-  classified per phase with vectorised numpy passes and resolved in bulk,
-  and only the residual references (possible hits, upgrades, misses) are
-  interpreted through the protocol machinery;
+* ``kernel`` (the default) — guaranteed L1 hits are classified per phase
+  with vectorised numpy passes and resolved in bulk, and only the
+  residual references (possible hits, upgrades, misses) are walked by
+  compiled C code, bailing to the protocol machinery for page
+  operations; runs it cannot take fall back to ``legacy`` whole;
 * ``legacy`` — the original reference interpreter, one Python-level step
   per reference.
 
@@ -131,9 +132,11 @@ class Machine:
         trace's processor count must not exceed the machine's.
 
         ``engine`` selects the execution engine (one of
-        :data:`repro.engine.ENGINE_NAMES`); the default is the batched
-        engine, overridable globally with the ``REPRO_ENGINE`` environment
-        variable.  All engines produce bit-identical statistics.
+        :data:`repro.engine.ENGINE_NAMES`); the default is the compiled
+        ``kernel``, overridable globally with the ``REPRO_ENGINE``
+        environment variable.  Both engines produce bit-identical
+        statistics; a run the kernel cannot take falls back to
+        ``legacy`` and says why in ``stats.engine_profile``.
         """
         if trace.num_procs > self.num_processors:
             raise ValueError(

@@ -127,7 +127,6 @@ class DSMProtocol:
         self._bc_blocks = [bc._blocks for bc in machine.block_caches]
         self._bc_versions = [bc._versions for bc in machine.block_caches]
         self._bc_dirty = [bc._dirty for bc in machine.block_caches]
-        self._bc_store = [bc._store for bc in machine.block_caches]
         self._bc_caps = [bc.capacity_blocks for bc in machine.block_caches]
         self._bc_stats = [bc.stats for bc in machine.block_caches]
         self._bpp = machine.addr.blocks_per_page
@@ -440,16 +439,15 @@ class DSMProtocol:
         subclasses refine it.  The default marks the departure as an
         eviction when no node-level copy remains.
 
-        NOTE: the batched engine inlines this body on its two miss paths
-        (``repro/engine/batched.py``) when it is not overridden; a change
-        here must be mirrored there.
+        NOTE: the kernel engine inlines this body (``L1_EVICT_NOTE`` in
+        ``repro/engine/kernel/cwalk.c``) when it is not overridden; a
+        change here must be mirrored there.
         """
-        # inlined BlockCache.contains
+        # inlined BlockCache.contains (an infinite cache is identity-mapped)
         cap = self._bc_caps[node]
-        if cap is None:
-            if block in self._bc_store[node]:
-                return
-        elif self._bc_blocks[node][block % cap] == block:
+        frames = self._bc_blocks[node]
+        idx = block if cap is None else block % cap
+        if idx < len(frames) and frames[idx] == block:
             return
         pc = self.page_caches[node]
         page = block // self._bpp

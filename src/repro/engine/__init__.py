@@ -3,24 +3,20 @@
 The machine/trace substrate defines *what* is simulated; this subsystem
 defines *how* the reference stream is executed:
 
+``kernel``
+    The compiled residual kernel (:mod:`repro.engine.kernel`), the
+    default: guaranteed L1 hits are classified per phase with vectorised
+    numpy passes and resolved in bulk, and the residual references walk
+    through a C transcription of the protocol lanes, bailing to Python
+    only for page operations, mapping faults and adaptive-policy
+    decisions.  A run the kernel cannot take — a user protocol
+    subclass, a host without a working C compiler, a crash inside the
+    compiled walk — falls back to ``legacy`` for the whole run,
+    recording the reason in ``engine_profile["fallback_reason"]``.
 ``legacy``
     The reference interpreter — one Python-level step per reference
-    (:mod:`repro.engine.legacy`).  It is the semantic ground truth.
-``batched``
-    The two-tier engine (:mod:`repro.engine.batched`): a vectorised numpy
-    fast path resolves guaranteed L1 hits in bulk, and only the residual
-    stream (possible hits, upgrades, misses) is interpreted, through the
-    unchanged protocol machinery.  Statistics and execution times are
-    bit-identical to the interpreter; the default engine.
-``kernel``
-    The compiled residual kernel (:mod:`repro.engine.kernel`): the
-    batched engine's residual walk transcribed to flat arrays and run by
-    a numba- or C-compiled backend, bailing to Python only for page
-    operations and mapping faults.  Systems the kernel cannot express
-    (adaptive policies, user protocols, infinite caches) transparently
-    fall back to ``batched`` for the run, recording the reason in
-    ``engine_profile``.  Results are bit-identical to both other
-    engines.
+    (:mod:`repro.engine.legacy`).  It is the semantic ground truth; the
+    kernel reproduces its statistics and execution times bit for bit.
 
 Select an engine per run (``machine.run(trace, engine="legacy")``) or
 globally through the ``REPRO_ENGINE`` environment variable.
@@ -31,18 +27,16 @@ from __future__ import annotations
 import os
 from typing import Optional
 
-from repro.engine.batched import run_batched
 from repro.engine.kernel import run_kernel
 from repro.engine.legacy import run_legacy
 
 #: Engines selectable by name.
-ENGINE_NAMES = ("batched", "kernel", "legacy")
+ENGINE_NAMES = ("kernel", "legacy")
 
 #: Environment variable overriding the default engine.
 ENGINE_ENV_VAR = "REPRO_ENGINE"
 
 _RUNNERS = {
-    "batched": run_batched,
     "kernel": run_kernel,
     "legacy": run_legacy,
 }
@@ -51,7 +45,7 @@ _RUNNERS = {
 def default_engine() -> str:
     """The engine used when none is requested explicitly."""
     name = os.environ.get(ENGINE_ENV_VAR, "").strip().lower()
-    return name if name in _RUNNERS else "batched"
+    return name if name in _RUNNERS else "kernel"
 
 
 def resolve_engine(engine: Optional[str] = None):
@@ -75,7 +69,6 @@ __all__ = [
     "default_engine",
     "resolve_engine",
     "run_trace",
-    "run_batched",
     "run_kernel",
     "run_legacy",
 ]

@@ -1,26 +1,24 @@
-"""Shared run-scoped guard for the batched and kernel engines.
+"""Run-scoped guards of the kernel engine.
 
-Both engines pause the garbage collector for the duration of a run (their
-walks allocate large bursts of small tuples that survive exactly one
-phase — the worst case for generational collection) and arm the L1
+The kernel pauses the garbage collector for the duration of a run (the
+driver allocates bursts of small objects that survive exactly one
+phase — the worst case for generational collection) and arms the L1
 caches' ``watch``/``fill_watch`` hooks so out-of-band line drops and
-fills during protocol calls demote the engine's pre-classified fast
-references.  Neither effect may outlive the run: a leaked GC pause slows
-everything after the run, and leaked hooks corrupt the next engine (or
-user code) touching the same caches.
+fills during bail-time protocol calls demote the engine's
+pre-classified fast references.  Neither effect may outlive the run: a
+leaked GC pause slows everything after the run, and leaked hooks
+corrupt the next run (or user code) touching the same caches.
 
 :func:`engine_run_guard` owns that save/arm/restore dance in one place so
-an exception anywhere in an engine's phase loop cannot leak either
-effect.
+an exception anywhere in the phase loop cannot leak either effect.
 
-:func:`backend_crash_guard` wraps the kernel engine's calls into its
-compiled backends (numba dispatch, the C extension, the interp
-reference): an exception escaping compiled code — a marshalling bug, a
-numba typing failure at dispatch time, a broken C build — is re-raised
-as :class:`KernelBackendError`, which :func:`repro.engine.kernel.run_kernel`
-catches to re-run the trace on the batched engine from a pristine
-machine (the crashed walk may have half-mutated the array stores), with
-the crash surfaced as the run's ``fallback_reason``.
+:func:`backend_crash_guard` wraps the engine's calls into the compiled C
+walk: an exception escaping it — a marshalling bug, a broken C build —
+is re-raised as :class:`KernelBackendError`, which
+:func:`repro.engine.kernel.run_kernel` catches to re-run the trace on
+the legacy interpreter from a pristine machine (the crashed walk may
+have half-mutated the array stores), with the crash surfaced as the
+run's ``fallback_reason``.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 
 class KernelBackendError(RuntimeError):
-    """A compiled kernel backend crashed mid-run.
+    """The compiled kernel crashed mid-run.
 
     Carries the backend name and the original exception (as
     ``__cause__``); the message is the user-facing fallback reason.
@@ -52,7 +50,7 @@ def backend_crash_guard(backend: str) -> Iterator[None]:
     Anything raised inside the block (except an already-translated
     :class:`KernelBackendError`) is chained into a
     :class:`KernelBackendError` so the kernel driver can distinguish
-    "the backend broke" (recoverable by batched fallback) from "the
+    "the backend broke" (recoverable by legacy fallback) from "the
     simulation is invalid" (a driver/protocol exception raised outside
     the guarded backend call, which propagates normally).
     """
@@ -68,7 +66,7 @@ def backend_crash_guard(backend: str) -> Iterator[None]:
 def engine_run_guard(caches: Sequence,
                      hooks: Sequence[Optional[Callable[[int], None]]],
                      ) -> Iterator[None]:
-    """Pause the GC and arm per-cache shootdown hooks for one engine run.
+    """Pause the GC and arm per-cache shootdown hooks for one kernel run.
 
     ``hooks`` provides, per cache, the callable to install as both
     ``watch`` and ``fill_watch`` (``None`` leaves that cache's hooks

@@ -1,18 +1,18 @@
-"""The compiled residual kernel — ``engine=kernel``.
+"""The compiled residual kernel — ``engine=kernel``, the default engine.
 
-The kernel executes the batched engine's residual schedule against flat
-index-addressed array stores instead of Python objects: per phase it
-classifies with ``build_promotion=False`` (promotion is a pure
-optimisation — results are bit-identical either way), marshals the
-simulator's stores into zero-copy numpy views
-(:mod:`repro.engine.kernel.state`) and hands the walk to a compiled
-backend — numba (:mod:`repro.engine.kernel.walk`) or hand-rolled C
-(``cwalk.c`` via :mod:`repro.engine.kernel.cbuild`) — with the same
-walk, uncompiled, as the dependency-free ``interp`` reference backend.
+Per phase the driver classifies the references
+(:mod:`repro.engine.classify`): guaranteed L1 hits are resolved in bulk
+by closed-form arithmetic, and only the *residual* references (possible
+hits, upgrades, misses) are walked, in exactly the reference
+interpreter's round-robin order.  The driver marshals the simulator's
+stores into zero-copy numpy views (:mod:`repro.engine.kernel.state`)
+and hands the walk to ``cwalk.c`` — plain C99 built on demand by any
+system compiler and called through ctypes
+(:mod:`repro.engine.kernel.cbuild`).
 
-The backend runs the probe/upgrade/local-fill/block-cache lanes — plus
-the page-cache probe lane for S-COMA-family systems, the home-side
-MigRep counter bumps with the static-threshold decision tests, and the
+The walk runs the probe/upgrade/local-fill/block-cache lanes — plus the
+page-cache probe lane for S-COMA-family systems, the home-side MigRep
+counter bumps with the static-threshold decision tests, and the
 requester-side R-NUMA refetch counters with the static relocation test —
 entirely in compiled code, and *bails* back to this driver for the
 events that need real protocol machinery: mapping faults, writes to
@@ -25,20 +25,22 @@ Bails are rare (hundreds per million references on the paper's
 workloads; decision evaluations are orders of magnitude rarer than
 references), so the walk's speed dominates.
 
-Only systems whose whole residual walk the backend can express run on
-the kernel: the exact stock protocol family (``ccnuma``, ``migrep``,
-``rnuma``, ``scoma``, ``rnuma-migrep``, ``ccnuma-dram`` and their
-capacity variants) with finite homogeneous block caches and stock base
-machinery.  Adaptive decision policies ride the compiled walk via the
-``decide`` bail.  Everything else — user-registered subclasses, exotic
-caches, infinite block caches — transparently falls back to the batched
-engine for the whole run, recording *every* failing condition in
-``engine_profile["fallback_reason"]``.
+Only systems whose whole residual walk the C code can express run on
+the kernel: the exact stock protocol family (``perfect``, ``ccnuma``,
+``migrep``, ``rnuma``, ``scoma``, ``rnuma-migrep``, ``ccnuma-dram`` and
+their capacity variants) with homogeneous block caches and stock base
+machinery.  ``perfect``'s infinite block cache is identity-mapped
+(:mod:`repro.mem.block_cache`), so the walk indexes it like any other.
+Adaptive decision policies ride the compiled walk via the ``decide``
+bail.  Everything else — user-registered subclasses, exotic caches, a
+host without a working C compiler, a crash inside the compiled walk —
+falls back to the ``legacy`` interpreter for the whole run, recording
+*every* failing condition in ``engine_profile["fallback_reason"]``.
+Results are bit-identical to ``legacy`` either way.
 """
 
 from __future__ import annotations
 
-import os
 from time import perf_counter
 from typing import TYPE_CHECKING, Optional
 
@@ -69,19 +71,14 @@ from repro.engine.kernel.state import (
     RC_BAIL_PAGECACHE, RC_BAIL_RELOCATE, RC_BAIL_REPLICATE,
     RC_DONE, schedule_arrays,
 )
-from repro.engine.kernel.walk import get_njit_walk, kernel_walk
+from repro.engine.kernel import cbuild
+from repro.engine.legacy import run_legacy
 from repro.mem.page_table import MODES_BY_CODE
 from repro.stats.counters import MachineStats
 from repro.stats.timing import StallKind
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.machine import Machine
-
-#: Environment variable forcing a kernel backend: ``numba``, ``c``,
-#: ``interp`` (the uncompiled reference walk), or ``none`` (disable the
-#: kernel — every run falls back to the batched engine).  Unset/empty
-#: picks the fastest available compiled backend.
-BACKEND_ENV_VAR = "REPRO_KERNEL_BACKEND"
 
 _BAIL_NAMES = {RC_BAIL_FAULT: "fault", RC_BAIL_COLLAPSE: "collapse",
                RC_BAIL_REPLICATE: "replicate", RC_BAIL_MIGRATE: "migrate",
@@ -92,7 +89,7 @@ _BAIL_NAMES = {RC_BAIL_FAULT: "fault", RC_BAIL_COLLAPSE: "collapse",
 BAIL_KIND_NAMES = ("fault", "collapse", "replicate", "migrate",
                    "relocate", "decide", "pagecache")
 
-#: exact protocol types whose residual walk the backends transcribe
+#: exact protocol types whose residual walk ``cwalk.c`` transcribes
 _KERNEL_PROTOCOLS = (CCNUMAProtocol, MigRepProtocol, RNUMAProtocol,
                      SCOMAProtocol, RNUMAMigRepProtocol,
                      DRAMBlockCacheProtocol)
@@ -103,8 +100,8 @@ def kernel_eligibility(machine: "Machine", trace) -> Optional[str]:
 
     The kernel's compiled lanes are transcriptions of the *stock*
     protocol family, so any override — a subclass, exotic cache
-    geometry, an infinite block cache — disqualifies the whole run
-    (per-reference fallback would cost more than it saves).  *Every*
+    geometry — disqualifies the whole run (per-reference fallback
+    would cost more than it saves).  *Every*
     failing condition is collected and ``"; "``-joined into the
     user-facing fallback reason, so fixing one does not merely surface
     the next.
@@ -119,10 +116,7 @@ def kernel_eligibility(machine: "Machine", trace) -> Optional[str]:
         reasons.append("heterogeneous L1 geometry")
     if len(machine.nodes) > 62:
         reasons.append("more than 62 nodes (sharer masks exceed int64)")
-    caps = {bc.capacity_blocks for bc in machine.block_caches}
-    if None in caps:
-        reasons.append("infinite block cache")
-    elif len(caps) > 1:
+    if len({bc.capacity_blocks for bc in machine.block_caches}) > 1:
         reasons.append("heterogeneous block-cache capacity")
     if not (ptype.handle_miss is DSMProtocol.handle_miss
             and ptype._directory_read is DSMProtocol._directory_read
@@ -145,105 +139,53 @@ def kernel_eligibility(machine: "Machine", trace) -> Optional[str]:
     return "; ".join(reasons) if reasons else None
 
 
-def _resolve_backend(forced: str):
-    """Resolve ``(bind, name)`` for the requested/fastest backend.
-
-    ``bind(args) -> runner`` takes the canonical ``kernel_walk``
-    argument tuple once per phase and returns a zero-argument
-    ``runner() -> rc`` that (re-)enters the walk — binding once lets the
-    compiled backends cache their per-phase argument marshalling.
-    Returns ``(None, reason)`` when nothing is available.
-    """
-    if forced in ("", "auto"):
-        njit = get_njit_walk()
-        if njit is not None:  # pragma: no cover - needs numba installed
-            return _numba_caller(njit), "numba"
-        from repro.engine.kernel.cbuild import load_cwalk
-        c = load_cwalk()
-        if c is not None:
-            return c, "c"
-        return None, "no compiled backend available (numba missing, C build failed)"
-    if forced == "numba":
-        njit = get_njit_walk()
-        if njit is None:
-            return None, "numba not installed"
-        return _numba_caller(njit), "numba"  # pragma: no cover - needs numba
-    if forced == "c":
-        from repro.engine.kernel.cbuild import load_cwalk
-        c = load_cwalk()
-        if c is None:
-            return None, "C backend build failed (no working compiler?)"
-        return c, "c"
-    if forced == "interp":
-        return (lambda args: (lambda: kernel_walk(*args))), "interp"
-    return None, f"unknown {BACKEND_ENV_VAR}={forced!r}"
-
-
-def _numba_caller(njit_walk):  # pragma: no cover - needs numba installed
-    from numba.typed import List as TypedList
-
-    def bind(args):
-        # All list arguments except the demoted queues hold the same
-        # array objects for the whole phase — convert them once; the
-        # queue lists get fresh arrays after demotions, so re-wrap those
-        # per entry (they are tiny: one array per processor).
-        head = [TypedList(a) if isinstance(a, list) else a
-                for a in args[:-2]]
-        q_idx, q_blk = args[-2], args[-1]
-
-        def runner() -> int:
-            return int(njit_walk(*head, TypedList(q_idx), TypedList(q_blk)))
-
-        return runner
-
-    return bind
-
-
 def run_kernel(machine: "Machine", trace) -> MachineStats:
     """Run ``trace`` on ``machine`` with the compiled residual kernel.
 
-    Ineligible systems and missing backends fall back to the batched
-    engine for the whole run; the resulting ``engine_profile`` carries
+    Ineligible systems, a missing C toolchain and a backend crash fall
+    back to the ``legacy`` interpreter for the whole run; the resulting
+    ``engine_profile`` carries ``engine="legacy"``,
     ``requested_engine="kernel"`` and the ``fallback_reason``.
     """
     reason = kernel_eligibility(machine, trace)
-    bind = None
-    backend_name = ""
-    forced = os.environ.get(BACKEND_ENV_VAR, "").strip().lower()
-    if forced in ("none", "off", "0"):
-        reason = reason or f"kernel disabled via {BACKEND_ENV_VAR}"
-    elif reason is None:
-        bind, backend_name = _resolve_backend(forced)
-        if bind is None:
-            reason = backend_name
     if reason is None:
-        try:
-            return _run(machine, trace, bind, backend_name)
-        except KernelBackendError as exc:
-            # the crashed walk may have half-mutated the array stores, so
-            # the batched re-run needs a pristine machine; the caller's
-            # machine adopts its results to stay consistent
-            from repro.cluster.machine import Machine
-            fresh = Machine(machine.cfg, machine.system)
-            stats = fresh.run(trace, engine="batched")
-            machine.stats = fresh.stats
-            machine.timing = fresh.timing
-            reason = str(exc)
-            profile = stats.engine_profile
-            if isinstance(profile, dict):
-                profile["requested_engine"] = "kernel"
-                profile["fallback_reason"] = reason
-            return stats
-    from repro.engine.batched import run_batched
-    stats = run_batched(machine, trace)
-    profile = stats.engine_profile
-    if isinstance(profile, dict):
-        profile["requested_engine"] = "kernel"
-        profile["fallback_reason"] = reason
+        bind = cbuild.load_cwalk()
+        if bind is None:
+            reason = "C backend build failed (no working compiler?)"
+        else:
+            try:
+                return _run(machine, trace, bind)
+            except KernelBackendError as exc:
+                # the crashed walk may have half-mutated the array stores,
+                # so the legacy re-run needs a pristine machine; the
+                # caller's machine adopts its results to stay consistent
+                from repro.cluster.machine import Machine
+                fresh = Machine(machine.cfg, machine.system)
+                stats = _run_fallback(fresh, trace, str(exc))
+                machine.stats = fresh.stats
+                machine.timing = fresh.timing
+                return stats
+    return _run_fallback(machine, trace, reason)
+
+
+def _run_fallback(machine: "Machine", trace, reason: str) -> MachineStats:
+    """Run on the legacy interpreter, profiled as a kernel fallback."""
+    t0 = perf_counter()
+    refs_before = machine.stats.total_accesses
+    stats = run_legacy(machine, trace)
+    stats.engine_profile = {
+        "engine": "legacy",
+        "requested_engine": "kernel",
+        "fallback_reason": reason,
+        "references": stats.total_accesses - refs_before,
+        "fast": 0,
+        "phases": len(trace.phases),
+        "wall_s": round(perf_counter() - t0, 6),
+    }
     return stats
 
 
-def _run(machine: "Machine", trace, bind, backend_name: str) -> MachineStats:
+def _run(machine: "Machine", trace, bind) -> MachineStats:
     costs = machine.cfg.costs
     protocol = machine.protocol
     num_procs = trace.num_procs
@@ -268,7 +210,14 @@ def _run(machine: "Machine", trace, bind, backend_name: str) -> MachineStats:
     pp = st.pp
     out = st.out
 
-    # page-operation shootdown watch — identical to the batched engine's
+    # page-operation shootdown watch: a page operation invalidating an L1
+    # line records the affected (processor, cache set) in `events`, which
+    # demotes the pending fast refs of exactly that set — the
+    # classifier's occupancy proof is per set, so other sets' proofs
+    # survive the shootdown.  A whole-cache drop (clear) records True.
+    # The fill watch is the mirror hook: an out-of-band L1 *fill* by
+    # protocol code evicts whatever the classifier assumed resident in
+    # that set, so it demotes exactly like a shootdown.
     events: dict = {}
 
     def _mk_watch(p: int, nl: int):
@@ -311,12 +260,11 @@ def _run(machine: "Machine", trace, bind, backend_name: str) -> MachineStats:
             st.reserve_for_phase(max_block)
 
             cls, sched = classify_phase(blocks_np, writes_np, caches,
-                                        version_of, build_promotion=False,
-                                        phase=phase)
-            n_sched = len(sched.entries)
+                                        version_of, phase=phase)
+            n_sched = len(sched)
             slot_of = sched.slot_of
             (ent_i, ent_p, ent_probe, ent_blk, ent_wrt, ent_slot,
-             keys) = schedule_arrays(phase, sched, tuple(lines_of))
+             keys) = schedule_arrays(sched)
             prof_total += sum(lengths)
 
             st.marshal_phase(sched, n_sched)
@@ -344,19 +292,23 @@ def _run(machine: "Machine", trace, bind, backend_name: str) -> MachineStats:
                     st.pc_dirty, st.pc_stamp, st.pc_clock, st.pc_nvalid,
                     st.pc_ndirty, st.pc_fills,
                     st.place_log, st.q_idx, st.q_blk)
-            with backend_crash_guard(backend_name):
+            with backend_crash_guard("c"):
                 runner = bind(args)
 
             def demote_pending(i: int, p: int) -> None:
                 """Demote pending fast refs after a page-op L1 shootdown.
 
-                The kernel port of the batched engine's demotion: the
-                affected processors' fast references ordered after
-                ``(i, p)`` become probes again — in-schedule (first-touch
-                promoted) slots via a status flip, statically-fast
-                references by joining the per-proc demoted queues the
-                walk merges by interleave key.  The queue arrays are
-                rebuilt, so the walk's re-entry sees the new heads.
+                Called only when a ``watch``/``fill_watch`` hook fired
+                during a bail (rare).  The affected processors' fast
+                references ordered after ``(i, p)`` become probes again
+                — in-schedule first touches proven fast at phase start
+                via a status flip, statically-fast references by joining
+                the per-proc demoted queues the walk merges by
+                interleave key.  Demotions are exact: a demoted
+                reference takes the ordinary probe path, and fast
+                references ordered before the shootdown were unaffected
+                by it.  The queue arrays are rebuilt, so the walk's
+                re-entry sees the new heads.
                 """
                 nonlocal prof_demoted
                 for p2, flushed in events.items():
@@ -382,9 +334,9 @@ def _run(machine: "Machine", trace, bind, backend_name: str) -> MachineStats:
                     own = pend.astype(np.int64) + bound
                     slots = slot_of[p2][own]
                     in_sched = slots >= 0
-                    promoted_slots = slots[in_sched]
-                    if len(promoted_slots):
-                        st.status[p2][promoted_slots] = 0
+                    fast_slots = slots[in_sched]
+                    if len(fast_slots):
+                        st.status[p2][fast_slots] = 0
                     fresh = own[~in_sched]
                     if len(fresh):
                         blks = blocks_np[p2][fresh].astype(np.int64,
@@ -408,7 +360,7 @@ def _run(machine: "Machine", trace, bind, backend_name: str) -> MachineStats:
                 events.clear()
 
             while True:
-                with backend_crash_guard(backend_name):
+                with backend_crash_guard("c"):
                     rc = runner()
                 if rc == RC_DONE:
                     break
@@ -440,7 +392,7 @@ def _run(machine: "Machine", trace, bind, backend_name: str) -> MachineStats:
                     fault = int(out[OUT_FAULT])
                 elif rc == RC_BAIL_DECIDE:
                     # the walk completed the fill; run the adaptive
-                    # decision evaluations it flagged, in batched order
+                    # decision evaluations it flagged, in legacy order
                     service = int(out[OUT_SERVICE])
                     version = int(out[OUT_VERSION])
                     remote = True
@@ -524,6 +476,10 @@ def _run(machine: "Machine", trace, bind, backend_name: str) -> MachineStats:
                     evictions=int(pp[PP_EVICT * P + p]),
                     invalidations=int(pp[PP_INVAL * P + p]))
             st.release()
+            # the bound walk and the bail-loop line aliases hold store
+            # views too: drop them with the state's, so the next phase's
+            # reserve can grow the stores in place
+            args = runner = cb_p = cv_p = cd_p = None
 
             machine.timing.barrier(costs.barrier_cost)
             machine.stats.barrier_count += 1
@@ -539,12 +495,9 @@ def _run(machine: "Machine", trace, bind, backend_name: str) -> MachineStats:
     machine.stats.stall_breakdown = dict(machine.timing.aggregate_stalls())
     machine.stats.engine_profile = {
         "engine": "kernel",
-        "backend": backend_name,
-        "promotion_mode": "off",
-        "promotion_enabled": False,
+        "backend": "c",
         "references": prof_total,
         "fast": prof_total - prof_residual,
-        "promoted": 0,
         "demoted": prof_demoted,
         "residual": prof_residual,
         "phases": len(trace.phases),

@@ -1,17 +1,19 @@
-"""On-demand build and binding of the kernel's C backend.
+"""On-demand build and binding of the kernel's C walk.
 
 ``cwalk.c`` needs no Python headers — it is a single translation unit of
 plain C99 operating on raw array pointers — so any C compiler can build
 it: ``cc -O2 -shared -fPIC`` and nothing else.  The shared object is
 cached next to the package (or under ``$REPRO_KERNEL_CACHE`` / the
 system temp dir when the package directory is read-only) keyed by a hash
-of the source, so each source revision compiles at most once per
-machine.
+of the source, the resolved compiler path and the flags, so each
+(source, toolchain) pair compiles at most once per machine — and a
+changed or vanished compiler never loads an object it did not build.
 
 Everything degrades gracefully: no compiler, a failed compile or a
 failed ``dlopen`` all yield ``None`` from :func:`load_cwalk` and the
-engine falls back to another backend.  Set ``REPRO_KERNEL_CC`` (or the
-conventional ``CC``) to pick a specific compiler.
+kernel engine falls back to the legacy interpreter.  Set
+``REPRO_KERNEL_CC`` (or the conventional ``CC``) to pick a specific
+compiler; an override that does not resolve disables the build.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from typing import Callable, Optional
 import numpy as np
 
 _SOURCE = Path(__file__).with_name("cwalk.c")
+_FLAGS = ("-O2", "-shared", "-fPIC")
 _N_ARGS = 52
 
 _loaded = False
@@ -55,34 +58,39 @@ def _cache_dir() -> Path:
 
 
 def _compiler() -> Optional[str]:
+    """Path of the compiler to build with, or ``None``."""
     # an explicit override is authoritative: if it does not resolve, the
     # build is off — never silently substitute a different compiler
     override = os.environ.get("REPRO_KERNEL_CC")
     if override is not None:
-        return override if shutil.which(override) else None
+        return shutil.which(override)
     for cand in (os.environ.get("CC"), "cc", "gcc", "clang"):
-        if cand and shutil.which(cand):
-            return cand
+        path = cand and shutil.which(cand)
+        if path:
+            return path
     return None
 
 
 def _build() -> Optional[ctypes.CDLL]:
+    cc = _compiler()
+    if cc is None:
+        return None
     try:
         source = _SOURCE.read_bytes()
     except OSError:
         return None
-    digest = hashlib.sha256(source).hexdigest()[:16]
+    # the resolved compiler binary and the flags are part of the key: a
+    # changed toolchain rebuilds instead of loading a stale object
+    key = hashlib.sha256(source)
+    key.update("\0".join((os.path.realpath(cc),) + _FLAGS).encode())
     try:
         cache = _cache_dir()
     except OSError:
         return None
-    so_path = cache / f"cwalk-{digest}.so"
+    so_path = cache / f"cwalk-{key.hexdigest()[:16]}.so"
     if not so_path.exists():
-        cc = _compiler()
-        if cc is None:
-            return None
         tmp = so_path.with_name(f".{so_path.name}.{os.getpid()}.tmp")
-        cmd = [cc, "-O2", "-shared", "-fPIC", "-o", str(tmp), str(_SOURCE)]
+        cmd = [cc, *_FLAGS, "-o", str(tmp), str(_SOURCE)]
         try:
             proc = subprocess.run(cmd, capture_output=True, timeout=120)
             if proc.returncode != 0:
@@ -105,8 +113,9 @@ def _build() -> Optional[ctypes.CDLL]:
 def load_cwalk() -> Optional[Callable]:
     """The C walk as ``bind(args) -> runner``, or ``None`` if unbuildable.
 
-    ``args`` is the canonical argument tuple of
-    :func:`repro.engine.kernel.walk.kernel_walk`.  ``bind`` flattens the
+    ``args`` is the argument tuple of ``repro_kernel_walk`` in
+    ``cwalk.c`` (array arguments, and lists of per-processor or
+    per-node arrays passed as pointer tables).  ``bind`` flattens the
     list-of-array arguments into pointer tables once per phase;
     ``runner() -> rc`` re-enters the walk.  Only the demoted-queue
     arrays (the last two arguments) can be replaced between re-entries,

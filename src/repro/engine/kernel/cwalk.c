@@ -1,13 +1,14 @@
-/* C backend of the compiled residual kernel.
+/* The compiled residual walk of the kernel engine (repro/engine/kernel).
  *
- * Line-for-line transcription of kernel_walk() in walk.py — edit both
- * together.  Layout constants mirror repro/engine/kernel/state.py.
+ * Walks one phase's residual schedule in the reference interpreter's
+ * round-robin order and reproduces repro/engine/legacy.py bit for bit;
+ * the equivalence suite pins it there.  Layout constants mirror
+ * repro/engine/kernel/state.py.
  *
- * Built on demand by cbuild.py (plain `gcc -O2 -shared -fPIC`, no
- * Python headers needed) and called through ctypes; every argument is a
- * raw array base pointer obtained from the numpy views, so the walk
- * mutates the simulator's stores in place exactly like the Python
- * backends.
+ * Built on demand by cbuild.py (plain `cc -O2 -shared -fPIC`, no Python
+ * headers needed) and called through ctypes; every argument is a raw
+ * array base pointer obtained from the numpy views, so the walk mutates
+ * the simulator's stores in place.
  */
 
 #include <stdint.h>
@@ -393,7 +394,7 @@ int64_t repro_kernel_walk(
             slot = ent_slot[k];
             k += 1;
             if (status[p][slot])
-                continue;    /* first-touch promoted: consumed via ptr */
+                continue;    /* first touch proven fast: consumed via ptr */
         } else {
             break;
         }

@@ -38,15 +38,13 @@ Marshalling contract
   protocol code and stay in the mirror for the whole phase.
 
 Layout constants (``CON_*``, ``PP_*``, ``NN_*``, ``MUT_*``, ``OUT_*``)
-are shared with :mod:`repro.engine.kernel.walk`; ``cwalk.c`` mirrors them
-as ``#define`` s — keep all three in sync.
+are mirrored as ``#define`` s in ``cwalk.c`` — keep both in sync.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.engine.classify import NO_INDEX
 from repro.interconnect.message import MessageType
 from repro.kernel.faults import FaultKind
 from repro.mem.page_table import MODE_CODES, PageMode
@@ -133,40 +131,15 @@ def _f64(buf) -> np.ndarray:
     return np.frombuffer(buf, dtype=np.float64)
 
 
-def schedule_arrays(phase, sched, geom_key):
-    """Flat int64/uint8 columns of ``sched.entries`` (cached on the phase).
+def schedule_arrays(sched):
+    """The walk's entry columns of ``sched``, in argument order.
 
-    The entry tuples depend only on the streams and the cache geometry,
-    so the conversion is done once per (phase, geometry) and reused by
-    every later kernel run of the trace in the process.
+    ``(i, p, probe, blk, wrt, slot, keys)`` — flat int64/uint8 arrays
+    shared with the phase's cached static classification, so a later
+    run of the same phase passes the same arrays without conversion.
     """
-    cache = getattr(phase, "__dict__", {}).get("_kernel_sched")
-    if cache is not None:
-        hit = cache.get(geom_key)
-        if hit is not None:
-            return hit
-    n = len(sched.entries)
-    if n:
-        cols = np.array([e[:6] for e in sched.entries], dtype=np.int64)
-        arrs = (np.ascontiguousarray(cols[:, 0]),                  # i
-                np.ascontiguousarray(cols[:, 1]),                  # p
-                np.ascontiguousarray(cols[:, 2]).astype(np.uint8),  # probe
-                np.ascontiguousarray(cols[:, 3]),                  # block
-                np.ascontiguousarray(cols[:, 4]).astype(np.uint8),  # write
-                np.ascontiguousarray(cols[:, 5]),                  # slot
-                np.asarray(sched.keys, dtype=np.int64))
-    else:
-        e64 = np.empty(0, dtype=np.int64)
-        e8 = np.empty(0, dtype=np.uint8)
-        arrs = (e64, e64, e8, e64, e8, e64, e64)
-    if cache is None:
-        try:
-            cache = phase.__dict__.setdefault("_kernel_sched", {})
-        except (AttributeError, TypeError):  # pragma: no cover
-            cache = None
-    if cache is not None:
-        cache[geom_key] = arrs
-    return arrs
+    return (sched.i, sched.p, sched.probe, sched.blk, sched.wrt, sched.slot,
+            sched.keys)
 
 
 class KernelState:
@@ -217,7 +190,10 @@ class KernelState:
         con[CON_MSG_WB] = bi
         con[CON_MSG_INV] = ii
         con[CON_MSG_ACK] = ai
-        con[CON_BC_CAP] = machine.block_caches[0].capacity_blocks
+        # an infinite (identity-mapped) block cache grows per phase, so its
+        # frame count is refreshed by reserve_for_phase
+        self.bc_identity = machine.block_caches[0].capacity_blocks is None
+        con[CON_BC_CAP] = machine.block_caches[0].capacity_blocks or 0
         con[CON_NUM_LINES] = caches[0].num_lines
         con[CON_MODE_REPLICA] = MODE_CODES[PageMode.REPLICA]
         con[CON_MODE_LOCAL_HOME] = MODE_CODES[PageMode.LOCAL_HOME]
@@ -341,6 +317,15 @@ class KernelState:
             for pc in machine.page_caches:
                 if pc is not None:
                     pc.reserve(max_page + 1)
+        if self.bc_identity:
+            # identity-mapped frames: covering every block id the phase
+            # can touch makes the walk's ``block % cap`` the identity
+            bcs = machine.block_caches
+            frames = max((max_page + 1) * bpp,
+                         max(len(bc._blocks) for bc in bcs))
+            for bc in bcs:
+                bc.reserve(frames)
+            self.con[CON_BC_CAP] = frames
         if len(self.place_log) < max_page + 1:
             self.place_log = np.empty(max_page + 1, dtype=np.int64)
 
@@ -597,23 +582,8 @@ class KernelState:
             self.counters.resets += int(mut[MUT_CTR_RESETS])
             mut[MUT_CTR_RESETS] = 0
 
-    # -- demoted queues ------------------------------------------------------
-
-    def set_queues(self, q_idx_lists, q_blk_lists, q_cur) -> None:
-        """Install rebuilt demoted queues (after a bail's demotions)."""
-        P = self.num_procs
-        pp = self.pp
-        for p in range(P):
-            qi = q_idx_lists[p]
-            start = q_cur[p]
-            self.q_idx[p] = np.asarray(qi[start:], dtype=np.int64)
-            self.q_blk[p] = np.asarray(q_blk_lists[p][start:],
-                                       dtype=np.int64)
-            pp[PP_QCUR * P + p] = 0
-            pp[PP_QLEN * P + p] = len(self.q_idx[p])
-
 
 __all__ = [name for name in dir() if name.startswith(("CON_", "FCON_", "PP_",
                                                       "NN_", "MUT_", "OUT_",
                                                       "RC_"))]
-__all__ += ["KernelState", "schedule_arrays", "NO_INDEX"]
+__all__ += ["KernelState", "schedule_arrays"]

@@ -1,8 +1,8 @@
 """The reference interpreter: one Python-level step per trace reference.
 
 This is the original ``Machine.run`` loop, moved verbatim into the engine
-subsystem.  It is the *semantic definition* of the simulator: the batched
-engine (:mod:`repro.engine.batched`) must reproduce its statistics and
+subsystem.  It is the *semantic definition* of the simulator: the kernel
+engine (:mod:`repro.engine.kernel`) must reproduce its statistics and
 execution times bit for bit, and the equivalence regression suite asserts
 exactly that for every system the factory can build.
 

@@ -661,7 +661,7 @@ class RunnerStats:
     bytes_streamed: int = 0  # logical stream bytes served from trace files
     peak_rss_kb: int = 0    # max peak RSS observed across executed runs
     kernel_runs: int = 0    # runs executed by the compiled kernel engine
-    kernel_fallbacks: int = 0  # kernel requests served by batched fallback
+    kernel_fallbacks: int = 0  # kernel requests served by legacy fallback
     retries: int = 0        # re-attempts scheduled after a failed run
     crashes: int = 0        # runs charged with killing a worker process
     timeouts: int = 0       # runs killed by the per-run wall-clock timeout

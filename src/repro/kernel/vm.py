@@ -58,8 +58,8 @@ class VirtualMemoryManager:
         self.num_nodes = num_nodes
         self._pages: Dict[int, PageRecord] = {}
         # flat page -> current home array (-1 = never placed), kept in sync
-        # with the records; the protocol layer and the batched engine read
-        # it directly on every miss instead of a record-dict lookup.  Grown
+        # with the records; the protocol layer reads it directly on every
+        # miss instead of a record-dict lookup.  Grown
         # lazily and in place (aliases stay valid).  Buffer-backed so the
         # compiled residual kernel can view it without copying; the two
         # companion columns mirror PageRecord.replicated / .replicas as a

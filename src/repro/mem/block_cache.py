@@ -14,26 +14,36 @@ baseline (an infinite block cache never suffers capacity/conflict misses).
 
 Storage layout
 --------------
-The finite cache stores its frames as flat parallel buffer-backed arrays
+Every cache stores its frames as flat parallel buffer-backed arrays
 indexed by frame number — ``_blocks`` (cached block id, -1 when empty) and
 ``_versions`` as ``array('q')``, ``_dirty`` as a ``bytearray`` — exactly
-the layout the protocol layer's and the batched engine's inlined
-lookup/fill paths index directly, and one the compiled residual kernel
-can view as contiguous numpy arrays without copying.  The infinite cache
-is necessarily a mapping; it keeps a plain ``block -> (version, dirty)``
-dict (``_store``).  Exactly one of ``_blocks`` / ``_store`` is non-None.
+the layout the protocol layer's inlined lookup/fill paths index directly,
+and one the compiled residual kernel can view as contiguous numpy arrays
+without copying.
+
+A finite cache is direct-mapped: block ``b`` lives in frame
+``b % capacity_blocks``.  The infinite cache is *identity-mapped*: block
+``b`` lives in frame ``b``, so no two blocks ever share a frame and
+nothing is evicted.  Its arrays start empty and grow in place to cover
+the block ids seen — a :meth:`fill` past the end grows them, and the
+kernel engine pre-grows them (:meth:`reserve`) to whole pages past each
+phase's largest block.  Block ids are dense (the directory is indexed
+the same way), so the arrays cost a few bytes per block of the trace.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 from repro.mem.cache import CacheStats
 
+#: smallest growth step of an identity-mapped cache, in frames
+_MIN_RESERVE = 1024
+
 
 class BlockCache:
-    """Direct-mapped (or infinite) cache of remote blocks for one node.
+    """Direct-mapped (or infinite, identity-mapped) cache of remote blocks.
 
     Parameters
     ----------
@@ -42,25 +52,39 @@ class BlockCache:
         (perfect CC-NUMA).
     """
 
-    __slots__ = ("capacity_blocks", "_infinite", "_blocks", "_versions",
-                 "_dirty", "_store", "stats")
+    __slots__ = ("capacity_blocks", "_blocks", "_versions", "_dirty",
+                 "stats")
 
     def __init__(self, capacity_blocks: Optional[int]) -> None:
         if capacity_blocks is not None and capacity_blocks <= 0:
             raise ValueError("capacity_blocks must be positive or None")
         self.capacity_blocks = capacity_blocks
-        self._infinite = capacity_blocks is None
-        if self._infinite:
-            self._blocks: Optional[array] = None
-            self._versions: Optional[array] = None
-            self._dirty: Optional[bytearray] = None
-            self._store: Optional[Dict[int, Tuple[int, bool]]] = {}
-        else:
-            self._blocks = array("q", b"\xff" * (8 * capacity_blocks))
-            self._versions = array("q", bytes(8 * capacity_blocks))
-            self._dirty = bytearray(capacity_blocks)
-            self._store = None
+        frames = capacity_blocks or 0
+        self._blocks = array("q", b"\xff" * (8 * frames))
+        self._versions = array("q", bytes(8 * frames))
+        self._dirty = bytearray(frames)
         self.stats = CacheStats()
+
+    def _frame(self, block: int) -> int:
+        """Frame that can hold ``block``, or -1 past an infinite cache's end."""
+        if self.capacity_blocks is not None:
+            return block % self.capacity_blocks
+        return block if block < len(self._blocks) else -1
+
+    def reserve(self, num_blocks: int) -> None:
+        """Grow an infinite cache (in place) to cover block ids ``< num_blocks``.
+
+        Growth is geometric, and the arrays are extended rather than
+        replaced, so aliases pre-bound by the protocol layer stay valid.
+        A no-op for finite caches.
+        """
+        frames = len(self._blocks)
+        if self.capacity_blocks is not None or num_blocks <= frames:
+            return
+        grow = max(num_blocks, 2 * frames, _MIN_RESERVE) - frames
+        self._blocks.frombytes(b"\xff" * (8 * grow))
+        self._versions.frombytes(bytes(8 * grow))
+        self._dirty += bytes(grow)
 
     # -- core operations --------------------------------------------------------
 
@@ -71,19 +95,8 @@ class BlockCache:
         are invalidated and reported as misses, mirroring the lazy
         invalidation scheme of the processor caches.
         """
-        if self._infinite:
-            entry = self._store.get(block)
-            if entry is not None:
-                if entry[0] >= version:
-                    self.stats.hits += 1
-                    return True
-                del self._store[block]
-                self.stats.invalidations += 1
-            self.stats.misses += 1
-            return False
-
-        idx = block % self.capacity_blocks
-        if self._blocks[idx] == block:
+        idx = self._frame(block)
+        if idx >= 0 and self._blocks[idx] == block:
             if self._versions[idx] >= version:
                 self.stats.hits += 1
                 return True
@@ -95,10 +108,9 @@ class BlockCache:
 
     def fill(self, block: int, version: int, dirty: bool = False) -> Optional[Tuple[int, bool]]:
         """Install ``block``; return the evicted ``(block, dirty)`` if any."""
-        if self._infinite:
-            self._store[block] = (version, dirty)
-            return None
-        idx = block % self.capacity_blocks
+        if self.capacity_blocks is None:
+            self.reserve(block + 1)
+        idx = self._frame(block)
         victim: Optional[Tuple[int, bool]] = None
         old = self._blocks[idx]
         if old >= 0 and old != block:
@@ -111,27 +123,16 @@ class BlockCache:
 
     def touch_write(self, block: int, version: int) -> None:
         """Record a write to a resident block (marks it dirty)."""
-        if self._infinite:
-            entry = self._store.get(block)
-            if entry is not None:
-                self._store[block] = (max(entry[0], version), True)
-            return
-        idx = block % self.capacity_blocks
-        if self._blocks[idx] == block:
+        idx = self._frame(block)
+        if idx >= 0 and self._blocks[idx] == block:
             if version > self._versions[idx]:
                 self._versions[idx] = version
             self._dirty[idx] = True
 
     def invalidate(self, block: int) -> bool:
         """Drop ``block`` if present; return True if it was present."""
-        if self._infinite:
-            if block in self._store:
-                del self._store[block]
-                self.stats.invalidations += 1
-                return True
-            return False
-        idx = block % self.capacity_blocks
-        if self._blocks[idx] == block:
+        idx = self._frame(block)
+        if idx >= 0 and self._blocks[idx] == block:
             self._blocks[idx] = -1
             self._dirty[idx] = False
             self.stats.invalidations += 1
@@ -150,44 +151,32 @@ class BlockCache:
 
     def contains(self, block: int) -> bool:
         """True if ``block`` is resident (any version)."""
-        if self._infinite:
-            return block in self._store
-        return self._blocks[block % self.capacity_blocks] == block
+        idx = self._frame(block)
+        return idx >= 0 and self._blocks[idx] == block
 
     def is_dirty(self, block: int) -> bool:
         """True if ``block`` is resident and dirty."""
-        if self._infinite:
-            entry = self._store.get(block)
-            return entry is not None and entry[1]
-        idx = block % self.capacity_blocks
-        return self._blocks[idx] == block and bool(self._dirty[idx])
+        idx = self._frame(block)
+        return idx >= 0 and self._blocks[idx] == block and bool(self._dirty[idx])
 
     def resident_blocks(self) -> Iterator[int]:
         """Iterate over resident block ids."""
-        if self._infinite:
-            yield from self._store.keys()
-        else:
-            for block in self._blocks:
-                if block >= 0:
-                    yield block
+        for block in self._blocks:
+            if block >= 0:
+                yield block
 
     def occupancy(self) -> int:
         """Number of resident blocks."""
-        if self._infinite:
-            return len(self._store)
         return sum(1 for block in self._blocks if block >= 0)
 
     @property
     def is_infinite(self) -> bool:
         """True for the perfect-CC-NUMA infinite cache."""
-        return self._infinite
+        return self.capacity_blocks is None
 
     def clear(self) -> None:
         """Drop all blocks (statistics preserved)."""
-        if self._infinite:
-            self._store.clear()
-            return
-        for i in range(self.capacity_blocks):
+        for i in range(len(self._blocks)):
             self._blocks[i] = -1
             self._versions[i] = 0
             self._dirty[i] = False

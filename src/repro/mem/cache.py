@@ -25,9 +25,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Callable, Iterator, Optional, Tuple
 
 
 @dataclass(slots=True)
@@ -90,12 +88,12 @@ class DirectMappedCache:
         #: optional callback fired whenever a line is dropped from
         #: *outside* the probe/fill path (page-operation shootdowns).  It
         #: receives the affected block id, or ``-1`` when every line was
-        #: dropped (:meth:`clear`), so the batched engine can invalidate
+        #: dropped (:meth:`clear`), so the kernel engine can invalidate
         #: its hit pre-classification for exactly the affected cache set.
         self.watch: Optional[Callable[[int], None]] = None
         #: mirror-image fill notification: fired (with the installed
         #: block id) whenever :meth:`fill` installs a line while the hook
-        #: is armed.  The batched engine inlines its own fills (which
+        #: is armed.  The kernel engine performs its own fills (which
         #: never fire this), so an armed ``fill_watch`` only observes
         #: *out-of-band* fills by protocol or user code — which evict
         #: whatever the engine's classifier assumed resident in that set,
@@ -187,52 +185,20 @@ class DirectMappedCache:
             return True
         return False
 
-    # -- batched probe API (used by repro.engine.batched) ----------------------
+    # -- bulk API (used by repro.engine.kernel) ---------------------------------
 
     def line_state(self) -> Tuple[array, array, bytearray]:
         """The live per-line ``(blocks, versions, dirty)`` stores.
 
         These are the cache's *internal* mutable buffer-backed arrays
         (``array('q')``, ``array('q')``, ``bytearray``), exposed so the
-        batched engine can probe and fill lines without per-access method
-        calls and the compiled kernel can view them as numpy arrays.
+        kernel engine's classifier can read the phase-start line state and
+        the compiled walk can view them as numpy arrays.
         Mutations must preserve the class invariants (a dropped line is
         ``block=-1, dirty=0``) and account statistics through
         :meth:`credit_batch`.
         """
         return self._blocks, self._versions, self._dirty
-
-    def probe_batch(self, blocks: Sequence[int], versions: Sequence[int],
-                    writes: Sequence[bool]) -> np.ndarray:
-        """Vectorised, *side-effect-free* probe of many blocks at once.
-
-        Returns an array of ``PROBE_*`` codes describing how each access
-        would resolve against the **current** cache state, without the
-        state evolution or statistics updates of :meth:`probe` (stale
-        lines are not dropped, counters are untouched).  The batched
-        engine uses this to pre-classify the first reference a processor
-        makes to each cache line in a phase.
-        """
-        b = np.asarray(blocks, dtype=np.int64)
-        idx = b % self.num_lines
-        cb = np.asarray(self._blocks, dtype=np.int64)
-        cv = np.asarray(self._versions, dtype=np.int64)
-        cd = np.asarray(self._dirty, dtype=bool)
-        present = cb[idx] == b
-        fresh = present & (cv[idx] >= np.asarray(versions, dtype=np.int64))
-        w = np.asarray(writes, dtype=bool)
-        out = np.full(len(b), PROBE_MISS, dtype=np.int8)
-        out[fresh & ~w] = PROBE_READ_HIT
-        dirty_hit = fresh & w & cd[idx]
-        out[dirty_hit] = PROBE_WRITE_HIT_OWNED
-        out[fresh & w & ~cd[idx]] = PROBE_WRITE_HIT_SHARED
-        return out
-
-    def resident_batch(self, blocks: Sequence[int]) -> np.ndarray:
-        """Vectorised :meth:`contains`: which blocks occupy their frame now."""
-        b = np.asarray(blocks, dtype=np.int64)
-        cb = np.asarray(self._blocks, dtype=np.int64)
-        return cb[b % self.num_lines] == b
 
     def credit_batch(self, *, hits: int = 0, misses: int = 0,
                      evictions: int = 0, invalidations: int = 0) -> None:

@@ -25,7 +25,7 @@ buffer-backed (``array('Q')``/``array('q')``/``bytearray``) so the
 compiled residual kernel can view them as contiguous numpy arrays with no
 copies, while scalar indexing keeps working for the interpreted paths.
 The arrays grow lazily (and always *in place*, so pre-bound aliases held
-by the protocol and the batched engine stay valid) as larger block ids
+by the protocol stay valid) as larger block ids
 appear; growth while a buffer view is exported raises ``BufferError``,
 which doubles as a guard that the engines pre-reserve correctly.  All
 hot-path set algebra is O(1) integer arithmetic on a scalar element;
@@ -141,7 +141,7 @@ class Directory:
         Growth is geometric so a stream of increasing block ids costs
         amortised O(1) per block.  Existing list/bytearray objects are
         extended, never replaced: aliases pre-bound by the protocol layer
-        and the batched engine remain valid across growth.
+        remain valid across growth.
         """
         cap = len(self._sharers)
         if n <= cap:

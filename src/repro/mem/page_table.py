@@ -31,7 +31,7 @@ kernel can view them) and a remap count list, plus a ``tracked`` byte
 distinguishing "never touched" from "touched and currently unmapped".  :class:`PageMode` enum
 objects are materialized only at the API boundary (``mode_of`` and the
 :class:`PageTableEntry` view); the hot paths in the protocol layer and the
-batched engine read the mode-code bytearray directly.  Arrays grow lazily
+kernel engine read the mode-code bytearray directly.  Arrays grow lazily
 and in place, so pre-bound aliases stay valid.
 """
 

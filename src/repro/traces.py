@@ -16,7 +16,7 @@ One import point for everything file-trace related::
   ``repro exp --apps`` and ``repro run`` alike (CLI users can also skip
   registration entirely with ``--apps file:/path/to/trace.rpt``).
 
-See DESIGN.md §11 for the file format and the streaming contract.
+See DESIGN.md §10 for the file format and the streaming contract.
 """
 
 from __future__ import annotations

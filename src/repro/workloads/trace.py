@@ -4,7 +4,7 @@ A :class:`Trace` is the unit of work a :class:`repro.cluster.machine.Machine`
 runs: a list of phases, each carrying one block-reference stream per
 processor.  Streams are stored as numpy arrays (compact, picklable, easy
 to generate vectorised) and normalized to canonical dtypes — ``int64``
-block ids, ``bool`` write flags — once, at construction.  The batched
+block ids, ``bool`` write flags — once, at construction.  The kernel
 engine's classifier consumes the arrays directly (no per-phase
 conversion); only the legacy reference interpreter materializes python
 lists for its scalar stepping loop.

@@ -452,7 +452,7 @@ class StreamingTrace:
     Drop-in for :class:`~repro.workloads.trace.Trace` wherever the
     consumer honours the streaming contract — iterate ``.phases``
     (a sequence: ``len``/index/iterate), read ``.name``, ``.num_procs``
-    and ``.metadata`` — which covers all three engines, the runner and
+    and ``.metadata`` — which covers both engines, the runner and
     the analysis passes.  Streams are ``np.frombuffer`` views over one
     read-only mmap of the file, so a phase costs page-cache traffic, not
     heap: the process's writable footprint stays bounded by one phase's

@@ -133,3 +133,21 @@ class TestInfiniteBlockCache:
             bc.fill(b, 0)
         for b in blocks:
             assert bc.lookup(b, 0)
+
+    def test_identity_mapped_frames(self):
+        """The infinite cache stores block ``b`` in frame ``b`` of the same
+        flat arrays a finite cache uses, growing them in place on a fill
+        past the end; lookups past the end miss without growing."""
+        bc = BlockCache(None)
+        frames = bc._blocks
+        assert len(frames) == 0
+        assert not bc.lookup(5000, 0)
+        assert not bc.contains(5000) and not bc.invalidate(5000)
+        assert len(frames) == 0
+        bc.fill(5000, 3, dirty=True)
+        assert bc._blocks is frames and len(frames) > 5000
+        assert frames[5000] == 5000 and bc._versions[5000] == 3
+        assert bc._dirty[5000]
+        assert bc.occupancy() == 1
+        bc.reserve(100)            # never shrinks
+        assert len(frames) > 5000

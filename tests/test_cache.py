@@ -214,8 +214,8 @@ class TestSetAssociativeCache:
         assert c.occupancy() <= 16
 
 
-class TestBatchedProbeAPI:
-    """The vectorised helpers the batched engine builds on."""
+class TestBulkAPI:
+    """The line-state and bulk-accounting helpers the kernel builds on."""
 
     def _filled(self):
         from repro.mem.cache import DirectMappedCache
@@ -223,31 +223,6 @@ class TestBatchedProbeAPI:
         c.fill(3, version=2)
         c.fill(5, version=0, dirty=True)
         return c
-
-    def test_probe_batch_matches_probe_codes(self):
-        import numpy as np
-        from repro.mem.cache import (
-            DirectMappedCache,
-            PROBE_MISS,
-            PROBE_READ_HIT,
-            PROBE_WRITE_HIT_OWNED,
-            PROBE_WRITE_HIT_SHARED,
-        )
-        c = self._filled()
-        codes = c.probe_batch([3, 3, 5, 5, 7, 3],
-                              [2, 3, 0, 0, 0, 1],
-                              [False, False, False, True, False, True])
-        assert list(codes) == [PROBE_READ_HIT, PROBE_MISS, PROBE_READ_HIT,
-                               PROBE_WRITE_HIT_OWNED, PROBE_MISS,
-                               PROBE_WRITE_HIT_SHARED]
-        # side-effect free: no statistics, no stale drops
-        assert c.stats.accesses == 0
-        assert c.contains(3) and c.contains(5)
-
-    def test_resident_batch(self):
-        c = self._filled()
-        assert list(c.resident_batch([3, 5, 7, 11])) == [True, True, False,
-                                                         False]
 
     def test_line_state_aliases_live_lines(self):
         c = self._filled()

@@ -156,11 +156,12 @@ class TestExpCommand:
         systems = {r["system"] for r in data["rows"]}
         assert "rnuma" in systems and "perfect" in systems
 
-    def test_exp_profile_surfaces_bail_kinds_and_reasons(self, capsys,
-                                                         monkeypatch):
-        """--profile prints the stable bail-kind counters and the full
-        (possibly multi-condition) fallback reason per ineligible run."""
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "interp")
+    def test_exp_profile_surfaces_bail_kinds(self, capsys):
+        """--profile prints the stable bail-kind counters; every stock
+        system — the perfect baseline included — rides the kernel."""
+        from test_engine_equivalence import require_c
+
+        require_c()
         code = main(["exp", "figure5", "--apps", "lu", "--scale", "0.03",
                      "--systems", "rnuma,scoma", "--engine", "kernel",
                      "--profile"])
@@ -171,12 +172,25 @@ class TestExpCommand:
         for kind in ("fault", "collapse", "replicate", "migrate",
                      "relocate", "decide", "pagecache"):
             assert f"{kind}=" in bails_line
-        # rnuma and scoma ride the kernel; only the perfect baseline
-        # falls back, with its reason spelled out
+        assert "kernel_fallbacks=0 " in out
+        assert "kernel fallbacks:" not in out
+        assert out.count("kernel:c") == 3
+
+    def test_exp_profile_renders_legacy_fallback(self, capsys, monkeypatch):
+        """Without the C walk every run falls back to legacy, and
+        --profile labels the lane and spells out each reason."""
+        from repro.engine.kernel import cbuild
+
+        monkeypatch.setattr(cbuild, "load_cwalk", lambda: None)
+        code = main(["exp", "figure5", "--apps", "lu", "--scale", "0.03",
+                     "--systems", "ccnuma", "--engine", "kernel",
+                     "--profile"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "kernel_fallbacks=2 " in out
+        assert out.count("kernel>legacy") == 2
         assert "kernel fallbacks:" in out
-        assert "lu/perfect: infinite block cache" in out
-        assert "lu/rnuma:" not in out
-        assert "lu/scoma:" not in out
+        assert "lu/perfect: C backend build failed" in out
 
     def test_exp_axis_overrides_and_csv(self, capsys, tmp_path):
         csv_path = tmp_path / "exp.csv"

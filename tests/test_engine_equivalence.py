@@ -1,14 +1,14 @@
-"""Engine equivalence regression: every engine == legacy, bit for bit.
+"""Engine equivalence regression: the kernel == legacy, bit for bit.
 
-The batched engine (:mod:`repro.engine.batched`) and the compiled
-residual kernel (:mod:`repro.engine.kernel`) must reproduce the
-reference interpreter's statistics and execution times exactly — every
-counter, stall category, clock, message count and cache statistic — for
-every system the factory can build.  These tests run the same trace
-through all engines on freshly built machines and compare deep
-fingerprints of the results.  (Ineligible systems make the kernel fall
-back to the batched engine for the whole run, so asserting
-``kernel == legacy`` is meaningful for every system either way.)
+The compiled residual kernel (:mod:`repro.engine.kernel`) must reproduce
+the reference interpreter's statistics and execution times exactly —
+every counter, stall category, clock, message count and cache statistic
+— for every system the factory can build.  These tests run the same
+trace through both engines on freshly built machines and compare deep
+fingerprints of the results.  (A run the kernel cannot take falls back
+to ``legacy`` for the whole run, so asserting ``kernel == legacy`` is
+meaningful on any host; the tests that pin the compiled path itself
+skip without a C toolchain.)
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ def fingerprint(machine: Machine, stats) -> dict:
     }
 
 
-def run_both(cfg: SimulationConfig, system: str, trace: Trace):
+def run_both(cfg: SimulationConfig, system: str, trace):
     """Run ``trace`` under every engine on fresh machines; return fingerprints."""
     out = {}
     for engine in ENGINE_NAMES:
@@ -74,15 +74,22 @@ def run_both(cfg: SimulationConfig, system: str, trace: Trace):
     return out
 
 
-def assert_equivalent(cfg: SimulationConfig, system: str, trace: Trace) -> None:
+def assert_equivalent(cfg: SimulationConfig, system: str, trace) -> None:
     fps = run_both(cfg, system, trace)
     for engine in ENGINE_NAMES:
         assert fps[engine] == fps["legacy"], (
             f"engine {engine!r} mismatch for system {system!r}")
 
 
+def require_c() -> None:
+    """Skip unless the C walk builds on this host."""
+    from repro.engine.kernel.cbuild import load_cwalk
+    if load_cwalk() is None:
+        pytest.skip("no working C toolchain")
+
+
 class TestEverySystem:
-    """Batched == legacy for every buildable system."""
+    """Kernel == legacy for every buildable system."""
 
     @pytest.mark.parametrize("system", SYSTEM_NAMES)
     def test_read_write_shared(self, system, tiny_config, tiny_machine):
@@ -98,8 +105,8 @@ class TestEverySystem:
         """Patterns that trigger migrations/replications/relocations.
 
         Page operations flush L1 lines from outside the reference stream —
-        the one hazard the batched engine's fast path must detect and
-        demote around — so this exercises the shootdown watch.
+        the one hazard the kernel's fast path must detect and demote
+        around — so this exercises the shootdown watch.
         """
         spec = make_simple_spec(pattern=SharingPattern.MIGRATORY,
                                 accesses=400, write_fraction=0.3,
@@ -184,25 +191,15 @@ def _run_streams(num_procs, streams):
     return Trace(name="adversarial", num_procs=num_procs, phases=[phase])
 
 
-class TestPromotionAdversarial:
-    """Equivalence under traces built to stress the promotion lane.
+class TestAdversarial:
+    """Equivalence under traces built to stress the walk's hazards.
 
     Each trace forces a specific hazard sequence — miss fill followed by
     a long same-block read run, a conflicting-set access cutting the
     run, foreign writes landing inside it, owned-write runs, and
     page-operation shootdowns mid-run — and must produce bit-identical
-    results with promotion enabled and disabled, for every system.
+    results for every system.
     """
-
-    @pytest.fixture(autouse=True,
-                    params=["adaptive", "promotion", "no-promotion"])
-    def _promotion_mode(self, request, monkeypatch):
-        if request.param == "promotion":
-            monkeypatch.setenv("REPRO_PROMOTION", "1")
-        elif request.param == "no-promotion":
-            monkeypatch.setenv("REPRO_PROMOTION", "0")
-        else:
-            monkeypatch.delenv("REPRO_PROMOTION", raising=False)
 
     @pytest.mark.parametrize("system", SYSTEM_NAMES)
     def test_runs_with_conflicts_and_writes(self, system, tiny_config):
@@ -224,8 +221,8 @@ class TestPromotionAdversarial:
                              ["ccnuma", "migrep", "rnuma", "scoma",
                               "rnuma-half-migrep"])
     def test_shootdown_mid_run(self, system, small_config, small_machine):
-        """Page-op churn demotes pre-classified runs; promotion must
-        recover them without changing a single counter."""
+        """Page-op churn demotes pre-classified runs mid-phase without
+        changing a single counter."""
         spec = make_simple_spec(pattern=SharingPattern.MIGRATORY,
                                 accesses=400, write_fraction=0.25,
                                 shift=1, phases=3)
@@ -235,8 +232,8 @@ class TestPromotionAdversarial:
     @settings(max_examples=10, deadline=None)
     @given(data=st.data())
     def test_random_run_traces(self, data):
-        """Random traces with same-block run structure (the promotion
-        lane's target shape) across the core systems."""
+        """Random traces with same-block run structure across the core
+        systems."""
         tiny_config = _random_trace_config()
         num_procs = 4
         num_blocks = data.draw(st.integers(8, 48))
@@ -264,60 +261,26 @@ class TestPromotionAdversarial:
 
 
 class TestResidualSchedule:
-    """Unit tests for the pending-schedule mask structure."""
+    """Unit tests for the per-phase residual schedule."""
 
-    def _classify(self, streams, num_lines=4, build_promotion=True):
+    def _classify(self, streams, num_lines=4):
         from repro.engine.classify import classify_phase
         from repro.mem.cache import DirectMappedCache
 
         blocks = [np.asarray(b, dtype=np.int64) for b, _ in streams]
         writes = [np.asarray(w, dtype=bool) for _, w in streams]
         caches = [DirectMappedCache(num_lines) for _ in streams]
-        return classify_phase(blocks, writes, caches, lambda b: 0,
-                              build_promotion=build_promotion)
+        return classify_phase(blocks, writes, caches, lambda b: 0)
 
     def test_entries_in_interleave_order_with_slots(self):
         cls, sched = self._classify([([1, 1, 2], [1, 0, 0]),
                                      ([3, 3, 3], [0, 0, 1])])
-        assert len(sched.entries) > 0
-        assert sched.keys == sorted(sched.keys)
-        for i, p, probe, blk, wrt, slot, chain in sched.entries:
-            assert sched.idx[p][slot] == i
-
-    def test_promote_demote_are_mask_flips(self):
-        cls, sched = self._classify([([1, 1, 1, 1], [1, 0, 0, 0])])
-        # the head write is residual slot 0; flipping the mask moves it
-        # out of (and back into) the pending set without rebuilding
-        assert not sched.is_promoted(0, 0)
-        head_idx = sched.idx[0][0]
-        assert head_idx in sched.pending(0)
-        sched.promote(0, 0)
-        assert sched.is_promoted(0, 0)
-        assert head_idx not in sched.pending(0)
-        sched.demote(0, 0)
-        assert not sched.is_promoted(0, 0)
-        assert head_idx in sched.pending(0)
-
-    def test_next_same_block_chains_are_per_block(self):
-        # proc 0: write-run on block 1 (residual writes chain together);
-        # block 2 interleaved on a different set
-        cls, sched = self._classify([([1, 1, 1, 2, 1], [1, 1, 1, 1, 1])])
-        nsb = sched.next_same_block[0]
-        idx = sched.idx[0]
-        blkof = {i: b for i, b in zip(idx, [1, 1, 1, 2, 1])}
-        for s, t in enumerate(nsb):
-            if t >= 0:
-                assert blkof[idx[s]] == blkof[idx[t]]
-                assert idx[t] > idx[s]
-
-    def test_prev_conflict_marks_set_pressure(self):
-        # blocks 1 and 5 share set 1 of a 4-line cache: the return to 1
-        # after 5 must carry the conflicting access as its proof
-        cls, sched = self._classify([([1, 5, 1], [1, 1, 1])])
-        by_idx = dict(zip(sched.idx[0], sched.prev_conflict[0]))
-        assert by_idx[0] == -1         # the opening access has no pressure
-        assert by_idx[1] == 0          # 5 displaces the access to 1
-        assert by_idx[2] == 1          # return to 1 crosses the access to 5
+        assert len(sched) > 0
+        assert list(sched.keys) == sorted(sched.keys)
+        for i, p, slot, key in zip(sched.i, sched.p, sched.slot,
+                                   sched.keys):
+            assert key == i * 2 + p
+            assert sched.slot_of[p][i] == slot
 
     def test_first_touch_prepromoted_when_resident_fresh(self):
         from repro.engine.classify import CLS_FAST, classify_phase
@@ -328,10 +291,10 @@ class TestResidualSchedule:
         cls, sched = classify_phase([np.asarray([1, 1], dtype=np.int64)],
                                     [np.asarray([0, 0], dtype=bool)],
                                     [cache], lambda b: 0)
-        # the first touch is a residual slot, pre-promoted to fast
+        # the first touch is a residual slot, marked fast for this run
         assert cls[0][0] == CLS_FAST
         slot = int(sched.slot_of[0][0])
-        assert slot >= 0 and sched.is_promoted(0, slot)
+        assert slot >= 0 and sched.status[0][slot] == 1
 
     def test_static_schedule_cached_on_phase(self):
         from repro.engine import classify as C
@@ -360,20 +323,7 @@ class TestResidualSchedule:
 
 
 class TestKernelEngine:
-    """engine=kernel: per-backend bit-identity, fallback and profile."""
-
-    BACKENDS = ["interp", "c", "numba"]
-
-    @staticmethod
-    def _require_backend(backend: str) -> None:
-        if backend == "c":
-            from repro.engine.kernel.cbuild import load_cwalk
-            if load_cwalk() is None:
-                pytest.skip("no working C toolchain")
-        elif backend == "numba":
-            from repro.engine.kernel.walk import get_njit_walk
-            if get_njit_walk() is None:
-                pytest.skip("numba not installed")
+    """engine=kernel: the compiled path, its fallback and its profile."""
 
     def _trace(self, small_machine):
         spec = make_simple_spec(pattern=SharingPattern.MIGRATORY,
@@ -381,91 +331,100 @@ class TestKernelEngine:
                                 shift=1, phases=3)
         return make_trace(spec, small_machine, seed=5)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    def _legacy(self, cfg, spec, trace):
+        machine = Machine(cfg, spec)
+        return fingerprint(machine, machine.run(trace, engine="legacy"))
+
     @pytest.mark.parametrize("system", ["ccnuma", "migrep"])
-    def test_backend_bit_identical(self, backend, system, small_config,
-                                   small_machine, monkeypatch):
-        """Every available backend reproduces legacy exactly — including
-        the page-op-churn shape that exercises the bail path."""
-        self._require_backend(backend)
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", backend)
+    def test_kernel_bit_identical(self, system, small_config,
+                                  small_machine):
+        """The C walk reproduces legacy exactly — including the
+        page-op-churn shape that exercises the bail path."""
+        require_c()
         trace = self._trace(small_machine)
-        ref_machine = Machine(small_config, build_system(system))
-        ref = fingerprint(ref_machine, ref_machine.run(trace, engine="legacy"))
+        ref = self._legacy(small_config, build_system(system), trace)
         machine = Machine(small_config, build_system(system))
         stats = machine.run(trace, engine="kernel")
         prof = stats.engine_profile
         assert prof["engine"] == "kernel"
-        assert prof["backend"] == backend
+        assert prof["backend"] == "c"
         assert prof["bails"] == sum(prof["bail_kinds"].values())
         assert fingerprint(machine, stats) == ref
 
-    def test_env_disable_falls_back(self, small_config, small_machine,
-                                    monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "none")
+    def test_perfect_runs_on_kernel(self, small_config, small_machine):
+        """perfect's infinite block cache is identity-mapped: it runs
+        compiled, never evicts, and matches legacy."""
+        require_c()
         trace = self._trace(small_machine)
-        machine = Machine(small_config, build_system("migrep"))
-        stats = machine.run(trace, engine="kernel")
-        prof = stats.engine_profile
-        assert prof["engine"] == "batched"
-        assert prof["requested_engine"] == "kernel"
-        assert "disabled" in prof["fallback_reason"]
-        ref_machine = Machine(small_config, build_system("migrep"))
-        ref = fingerprint(ref_machine,
-                          ref_machine.run(trace, engine="batched"))
-        assert fingerprint(machine, stats) == ref
-
-    def test_unknown_backend_falls_back_with_reason(
-            self, small_config, small_machine, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "turbo")
-        trace = self._trace(small_machine)
-        machine = Machine(small_config, build_system("ccnuma"))
-        stats = machine.run(trace, engine="kernel")
-        prof = stats.engine_profile
-        assert prof["engine"] == "batched"
-        assert prof["requested_engine"] == "kernel"
-        assert "turbo" in prof["fallback_reason"]
-
-    def test_infinite_block_cache_falls_back(self, small_config,
-                                             small_machine, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "interp")
-        trace = self._trace(small_machine)
+        ref = self._legacy(small_config, build_system("perfect"), trace)
         machine = Machine(small_config, build_system("perfect"))
         stats = machine.run(trace, engine="kernel")
         prof = stats.engine_profile
-        assert prof["engine"] == "batched"
-        assert prof["requested_engine"] == "kernel"
-        assert "infinite block cache" in prof["fallback_reason"]
+        assert prof["engine"] == "kernel"
+        assert "fallback_reason" not in prof
+        assert all(bc.stats.evictions == 0 for bc in machine.block_caches)
+        assert fingerprint(machine, stats) == ref
+
+    def test_streamed_perfect_cache_grows_across_phases(
+            self, tiny_config, tmp_path, monkeypatch):
+        """A multi-phase ``.rpt`` trace streamed without being
+        materialised: later phases reach larger block ids, so perfect's
+        cache grows phase by phase, and the run stays bit-identical."""
+        require_c()
+        from repro.engine.kernel.state import KernelState
+        from repro.workloads.tracefile import open_trace, write_trace_file
+
+        rng = np.random.default_rng(7)
+        phases = []
+        for pi, span in enumerate((64, 3000, 9000)):
+            blocks = [rng.integers(0, span, 120, dtype=np.int64)
+                      for _ in range(4)]
+            writes = [rng.random(120) < 0.3 for _ in range(4)]
+            phases.append(PhaseTrace(name=f"ph{pi}", compute_per_access=2,
+                                     blocks=blocks, writes=writes))
+        path = write_trace_file(
+            Trace(name="growing", num_procs=4, phases=phases),
+            tmp_path / "growing.rpt")
+
+        frames = []
+        reserve = KernelState.reserve_for_phase
+
+        def recording(state, max_block):
+            reserve(state, max_block)
+            frames.append(len(state.machine.block_caches[0]._blocks))
+
+        monkeypatch.setattr(KernelState, "reserve_for_phase", recording)
+        machine = Machine(tiny_config, build_system("perfect"))
+        stats = machine.run(open_trace(path), engine="kernel")
+        assert stats.engine_profile["engine"] == "kernel"
+        assert frames == sorted(frames) and frames[0] < frames[-1]
+        monkeypatch.undo()
+        ref = self._legacy(tiny_config, build_system("perfect"),
+                           open_trace(path))
+        assert fingerprint(machine, stats) == ref
 
     def test_page_cache_system_runs_on_kernel(self, small_config,
-                                              small_machine, monkeypatch):
-        """rnuma no longer trips a blanket page-cache disqualifier: it
-        runs compiled, bit-identical to batched."""
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "interp")
+                                              small_machine):
+        """rnuma runs compiled, bit-identical to legacy."""
+        require_c()
         trace = self._trace(small_machine)
-        ref_machine = Machine(small_config, build_system("rnuma"))
-        ref = fingerprint(ref_machine,
-                          ref_machine.run(trace, engine="batched"))
+        ref = self._legacy(small_config, build_system("rnuma"), trace)
         machine = Machine(small_config, build_system("rnuma"))
         stats = machine.run(trace, engine="kernel")
-        prof = stats.engine_profile
-        assert prof["engine"] == "kernel"
+        assert stats.engine_profile["engine"] == "kernel"
         assert fingerprint(machine, stats) == ref
 
     def test_adaptive_policy_runs_on_kernel(self, small_config,
-                                            small_machine, monkeypatch):
+                                            small_machine):
         """Adaptive policies ride the compiled walk via decide bails."""
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "interp")
+        require_c()
         trace = self._trace(small_machine)
         spec = build_system("migrep").derive("migrep-competitive",
                                              migrep_policy="competitive")
-        ref_machine = Machine(small_config, spec)
-        ref = fingerprint(ref_machine,
-                          ref_machine.run(trace, engine="batched"))
+        ref = self._legacy(small_config, spec, trace)
         machine = Machine(small_config, spec)
         stats = machine.run(trace, engine="kernel")
-        prof = stats.engine_profile
-        assert prof["engine"] == "kernel"
+        assert stats.engine_profile["engine"] == "kernel"
         assert fingerprint(machine, stats) == ref
 
     def test_eligibility_reports_all_reasons(self, small_config,
@@ -475,44 +434,86 @@ class TestKernelEngine:
         from repro.engine.kernel import kernel_eligibility
 
         trace = self._trace(small_machine)
+        perfect = Machine(small_config, build_system("perfect"))
+        assert kernel_eligibility(perfect, trace) is None
 
         class TweakedCCNUMA(CCNUMAProtocol):
             def handle_miss(self, *args):  # pragma: no cover - never run
                 return super().handle_miss(*args)
 
-        machine = Machine(small_config, build_system("perfect"))
+        machine = Machine(small_config, build_system("ccnuma"))
         machine.protocol.__class__ = TweakedCCNUMA
+        machine.block_caches[1].capacity_blocks = 7
         reason = kernel_eligibility(machine, trace)
-        assert "infinite block cache" in reason
+        assert "heterogeneous block-cache capacity" in reason
         assert "overrides base machinery" in reason
         assert "unsupported protocol TweakedCCNUMA" in reason
         assert reason.count(";") >= 2
 
-    def test_backend_crash_falls_back_bit_identical(
-            self, small_config, small_machine, monkeypatch):
-        """An exception escaping the compiled walk (marshalling bug,
-        broken C build) re-runs batched from a pristine machine with the
-        crash surfaced as the fallback reason."""
-        import repro.engine.kernel as kernel_mod
+    def test_fallback_profile(self, small_config, small_machine,
+                              monkeypatch):
+        """A kernel request served by legacy says so in its profile."""
+        from repro.engine.kernel import cbuild
 
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "interp")
+        monkeypatch.setattr(cbuild, "load_cwalk", lambda: None)
         trace = self._trace(small_machine)
-
-        def boom(*args, **kwargs):
-            raise ValueError("synthetic backend crash")
-
-        monkeypatch.setattr(kernel_mod, "kernel_walk", boom)
         machine = Machine(small_config, build_system("migrep"))
         stats = machine.run(trace, engine="kernel")
         prof = stats.engine_profile
-        assert prof["engine"] == "batched"
+        assert prof["engine"] == "legacy"
+        assert prof["requested_engine"] == "kernel"
+        assert "C backend build failed" in prof["fallback_reason"]
+        assert prof["references"] == trace.total_accesses()
+        assert prof["fast"] == 0
+        assert prof["phases"] == len(trace.phases)
+        assert prof["wall_s"] >= 0
+        ref = self._legacy(small_config, build_system("migrep"), trace)
+        assert fingerprint(machine, stats) == ref
+
+    def test_missing_compiler_falls_back(self, small_config, small_machine,
+                                         monkeypatch, tmp_path):
+        """No working compiler: the C walk never loads, every kernel run
+        falls back to legacy, results unchanged."""
+        from repro.engine.kernel import cbuild
+
+        monkeypatch.setenv("REPRO_KERNEL_CC", "/nonexistent-compiler")
+        monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path / "kc"))
+        monkeypatch.setattr(cbuild, "_loaded", False)
+        monkeypatch.setattr(cbuild, "_caller", None)
+        trace = self._trace(small_machine)
+        machine = Machine(small_config, build_system("ccnuma"))
+        stats = machine.run(trace, engine="kernel")
+        prof = stats.engine_profile
+        assert prof["engine"] == "legacy"
+        assert prof["requested_engine"] == "kernel"
+        ref = self._legacy(small_config, build_system("ccnuma"), trace)
+        assert fingerprint(machine, stats) == ref
+
+    def test_backend_crash_falls_back_bit_identical(
+            self, small_config, small_machine, monkeypatch):
+        """An exception escaping the compiled walk (marshalling bug,
+        broken C build) re-runs legacy from a pristine machine with the
+        crash surfaced as the fallback reason."""
+        from repro.engine.kernel import cbuild
+
+        def crashing_bind(args):
+            def runner():
+                raise ValueError("synthetic backend crash")
+            return runner
+
+        monkeypatch.setattr(cbuild, "load_cwalk", lambda: crashing_bind)
+        trace = self._trace(small_machine)
+        machine = Machine(small_config, build_system("migrep"))
+        stats = machine.run(trace, engine="kernel")
+        prof = stats.engine_profile
+        assert prof["engine"] == "legacy"
         assert prof["requested_engine"] == "kernel"
         assert "crashed" in prof["fallback_reason"]
         assert "synthetic backend crash" in prof["fallback_reason"]
         ref_machine = Machine(small_config, build_system("migrep"))
-        ref = ref_machine.run(trace, engine="batched")
+        ref = ref_machine.run(trace, engine="legacy")
         # the fallback re-ran on a pristine machine: every stats-level
-        # observable matches a clean batched run exactly
+        # observable matches a clean legacy run exactly
         assert stats.execution_time == ref.execution_time
         assert list(stats.proc_finish_times) == list(ref.proc_finish_times)
         assert stats.network_messages == ref.network_messages
@@ -520,99 +521,23 @@ class TestKernelEngine:
         assert stats.stall_breakdown == ref.stall_breakdown
         assert machine.stats.execution_time == ref.execution_time
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_promotion_env_is_invariant(self, backend, small_config,
-                                        small_machine, monkeypatch):
-        """The kernel runs promotion-free; REPRO_PROMOTION must not
-        change a single bit of its output."""
-        self._require_backend(backend)
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", backend)
-        trace = self._trace(small_machine)
-        fps = []
-        for promo in ("0", "1"):
-            monkeypatch.setenv("REPRO_PROMOTION", promo)
-            machine = Machine(small_config, build_system("migrep"))
-            stats = machine.run(trace, engine="kernel")
-            assert stats.engine_profile["engine"] == "kernel"
-            fps.append(fingerprint(machine, stats))
-        assert fps[0] == fps[1]
-
-
-class TestAdaptivePromotion:
-    """Per-phase promotion decisions from static residual density."""
-
-    def _profile(self, cfg, system, trace, monkeypatch, env=None):
-        if env is None:
-            monkeypatch.delenv("REPRO_PROMOTION", raising=False)
-        else:
-            monkeypatch.setenv("REPRO_PROMOTION", env)
-        machine = Machine(cfg, build_system(system))
-        stats = machine.run(trace, engine="batched")
-        return stats.engine_profile
-
-    def test_adaptive_records_per_phase_decisions(
-            self, small_config, small_machine, monkeypatch):
-        spec = make_simple_spec(pattern=SharingPattern.MIGRATORY,
-                                accesses=400, write_fraction=0.3,
-                                shift=1, phases=3)
-        trace = make_trace(spec, small_machine, seed=5)
-        prof = self._profile(small_config, "migrep", trace, monkeypatch)
-        assert prof["promotion_mode"] == "adaptive"
-        decisions = prof["phase_promotions"]
-        assert len(decisions) == len(trace.phases)
-        for d in decisions:
-            assert isinstance(d["promotion"], bool)
-            assert 0.0 <= d["residual_density"] <= 1.0
-        assert prof["promotion_enabled"] == any(
-            d["promotion"] for d in decisions)
-
-    def test_env_override_forces_mode(self, tiny_config, tiny_machine,
-                                      monkeypatch):
-        spec = make_simple_spec(accesses=200, write_fraction=0.2)
-        trace = make_trace(spec, tiny_machine, seed=3)
-        on = self._profile(tiny_config, "ccnuma", trace, monkeypatch, "1")
-        assert on["promotion_mode"] == "on"
-        assert on["promotion_enabled"]
-        assert all(d["promotion"] for d in on["phase_promotions"])
-        off = self._profile(tiny_config, "ccnuma", trace, monkeypatch, "0")
-        assert off["promotion_mode"] == "off"
-        assert not off["promotion_enabled"]
-        assert not any(d["promotion"] for d in off["phase_promotions"])
-
-    def test_density_threshold_decides(self, tiny_config, tiny_machine,
-                                       monkeypatch):
-        """Long same-block runs → low density → promotion on; a stream
-        of conflicting first touches → high density → promotion off."""
-        from repro.engine.batched import PROMOTION_DENSITY_THRESHOLD
-
-        runs = _run_streams(4, [([7] * 40, [1] + [0] * 39)] * 4)
-        prof = self._profile(tiny_config, "ccnuma", runs, monkeypatch)
-        (d,) = prof["phase_promotions"]
-        assert d["residual_density"] < PROMOTION_DENSITY_THRESHOLD
-        assert d["promotion"] is True
-
-        churn = _run_streams(
-            4, [(list(range(0, 64 * 16, 16)), [0] * 64)] * 4)
-        prof = self._profile(tiny_config, "ccnuma", churn, monkeypatch)
-        (d,) = prof["phase_promotions"]
-        assert d["residual_density"] >= PROMOTION_DENSITY_THRESHOLD
-        assert d["promotion"] is False
-
 
 class TestEngineSelection:
-    def test_engine_names(self):
-        assert set(ENGINE_NAMES) == {"batched", "kernel", "legacy"}
-        assert default_engine() in ENGINE_NAMES
+    def test_engine_names(self, monkeypatch):
+        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        assert set(ENGINE_NAMES) == {"kernel", "legacy"}
+        assert default_engine() == "kernel"
 
-    def test_unknown_engine_rejected(self):
+    @pytest.mark.parametrize("name", ["turbo", "batched"])
+    def test_unknown_engine_rejected(self, name):
         with pytest.raises(ValueError, match="unknown engine"):
-            resolve_engine("turbo")
+            resolve_engine(name)
 
     def test_env_var_selects_engine(self, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE", "legacy")
         assert default_engine() == "legacy"
         monkeypatch.setenv("REPRO_ENGINE", "nonsense")
-        assert default_engine() == "batched"
+        assert default_engine() == "kernel"
 
     def test_machine_run_accepts_engine(self, tiny_config, tiny_machine):
         spec = make_simple_spec(accesses=50)

@@ -1,8 +1,8 @@
 """Kernel lane equivalence: R-NUMA, page-cache probe and decision bails.
 
 The full-family kernel runs every stock system compiled.  These tests
-pin each new lane against the batched engine bit-for-bit, per backend,
-under configurations harsh enough to actually fire the lane: tiny block
+pin each lane against the legacy interpreter bit-for-bit under
+configurations harsh enough to actually fire the lane: tiny block
 caches so capacity refetches drive relocation storms, tiny page caches
 so S-COMA replaces pages constantly, and low thresholds so both static
 and adaptive decisions trigger.  Hypothesis then hunts for orderings
@@ -27,9 +27,7 @@ from repro.workloads.spec import SharingPattern
 from repro.workloads.trace import PhaseTrace, Trace
 
 from helpers import make_simple_spec, make_trace
-from test_engine_equivalence import fingerprint
-
-BACKENDS = ["interp", "c", "numba"]
+from test_engine_equivalence import fingerprint, require_c
 
 #: adaptive / mixed-policy variants layered over the stock systems
 POLICY_VARIANTS = {
@@ -41,17 +39,6 @@ POLICY_VARIANTS = {
                                            "rnuma_policy": "hysteresis"}),
     "hybrid-mixed": ("rnuma-migrep", {"rnuma_policy": "competitive"}),
 }
-
-
-def _require_backend(backend: str) -> None:
-    if backend == "c":
-        from repro.engine.kernel.cbuild import load_cwalk
-        if load_cwalk() is None:
-            pytest.skip("no working C toolchain")
-    elif backend == "numba":
-        from repro.engine.kernel.walk import get_njit_walk
-        if get_njit_walk() is None:
-            pytest.skip("numba not installed")
 
 
 def _harsh_config() -> SimulationConfig:
@@ -83,16 +70,15 @@ def _spec_for(name: str):
     return build_system(name)
 
 
-def _assert_kernel_matches_batched(cfg, spec, trace, backend, monkeypatch,
-                                   expect_bails=()):
-    monkeypatch.setenv("REPRO_KERNEL_BACKEND", backend)
+def _assert_kernel_matches_legacy(cfg, spec, trace, expect_bails=()):
+    require_c()
     ref_machine = Machine(cfg, spec)
-    ref = fingerprint(ref_machine, ref_machine.run(trace, engine="batched"))
+    ref = fingerprint(ref_machine, ref_machine.run(trace, engine="legacy"))
     machine = Machine(cfg, spec)
     stats = machine.run(trace, engine="kernel")
     prof = stats.engine_profile
     assert prof["engine"] == "kernel", prof.get("fallback_reason")
-    assert prof["backend"] == backend
+    assert prof["backend"] == "c"
     assert prof["bails"] == sum(prof["bail_kinds"].values())
     for kind in expect_bails:
         assert prof["bail_kinds"][kind] > 0, (kind, prof["bail_kinds"])
@@ -101,18 +87,13 @@ def _assert_kernel_matches_batched(cfg, spec, trace, backend, monkeypatch,
 
 
 class TestFullFamilyEquivalence:
-    """Every finite-cache stock system runs compiled, bit-identical."""
+    """Every stock system runs compiled, bit-identical."""
 
-    ELIGIBLE = [n for n in SYSTEM_NAMES if n != "perfect"]
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("system", ELIGIBLE)
-    def test_stock_system_bit_identical(self, backend, system, monkeypatch):
-        _require_backend(backend)
+    @pytest.mark.parametrize("system", SYSTEM_NAMES)
+    def test_stock_system_bit_identical(self, system):
         cfg = _harsh_config()
-        _assert_kernel_matches_batched(cfg, _spec_for(system),
-                                       _harsh_trace(cfg), backend,
-                                       monkeypatch)
+        _assert_kernel_matches_legacy(cfg, _spec_for(system),
+                                      _harsh_trace(cfg))
 
     #: hysteresis MigRep evaluations are inlined in the walk, so only
     #: fired decisions bail; every other adaptive policy bails to the
@@ -126,16 +107,13 @@ class TestFullFamilyEquivalence:
         "hybrid-mixed": ("decide", "migrate"),
     }
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("variant", sorted(POLICY_VARIANTS))
-    def test_adaptive_policy_bit_identical(self, backend, variant,
-                                           monkeypatch):
+    def test_adaptive_policy_bit_identical(self, variant):
         """Non-static policies ride the walk, bailing only as needed."""
-        _require_backend(backend)
         cfg = _harsh_config()
-        prof = _assert_kernel_matches_batched(
-            cfg, _spec_for(variant), _harsh_trace(cfg), backend,
-            monkeypatch, expect_bails=self.EXPECT_BAILS[variant])
+        prof = _assert_kernel_matches_legacy(
+            cfg, _spec_for(variant), _harsh_trace(cfg),
+            expect_bails=self.EXPECT_BAILS[variant])
         if variant == "migrep-hysteresis":
             # the pure-hysteresis MigRep never leaves the compiled loop
             # for an evaluation that decides NONE
@@ -145,42 +123,36 @@ class TestFullFamilyEquivalence:
 class TestLaneActivation:
     """The harsh shapes really do exercise the lane they target."""
 
-    @pytest.mark.parametrize("backend", ["interp", "c"])
-    def test_relocation_storm(self, backend, monkeypatch):
+    def test_relocation_storm(self):
         """Capacity thrash drives refetches over the static threshold:
         the rnuma lane fires relocate bails and stays exact."""
-        _require_backend(backend)
         cfg = _harsh_config()
-        prof = _assert_kernel_matches_batched(
-            cfg, build_system("rnuma"), _harsh_trace(cfg), backend,
-            monkeypatch, expect_bails=("relocate",))
+        prof = _assert_kernel_matches_legacy(
+            cfg, build_system("rnuma"), _harsh_trace(cfg),
+            expect_bails=("relocate",))
         assert prof["bail_kinds"]["relocate"] > 100
 
-    @pytest.mark.parametrize("backend", ["interp", "c"])
     @pytest.mark.parametrize("system", ["scoma", "scoma-inf"])
-    def test_page_cache_replacement(self, backend, system, monkeypatch):
+    def test_page_cache_replacement(self, system):
         """S-COMA page-cache pressure: non-resident pages bail to the
         allocator, resident pages stay in the compiled probe lane."""
-        _require_backend(backend)
         cfg = _harsh_config()
-        _assert_kernel_matches_batched(
-            cfg, build_system(system), _harsh_trace(cfg), backend,
-            monkeypatch, expect_bails=("pagecache",))
+        _assert_kernel_matches_legacy(
+            cfg, build_system(system), _harsh_trace(cfg),
+            expect_bails=("pagecache",))
 
-    @pytest.mark.parametrize("backend", ["interp", "c"])
-    def test_hybrid_fires_both_decisions(self, backend, monkeypatch):
+    def test_hybrid_fires_both_decisions(self):
         """rnuma-migrep triggers relocations and migrations in one run."""
-        _require_backend(backend)
         cfg = _harsh_config()
-        _assert_kernel_matches_batched(
-            cfg, build_system("rnuma-migrep"), _harsh_trace(cfg), backend,
-            monkeypatch, expect_bails=("relocate", "migrate"))
+        _assert_kernel_matches_legacy(
+            cfg, build_system("rnuma-migrep"), _harsh_trace(cfg),
+            expect_bails=("relocate", "migrate"))
 
 
 class TestRandomLaneTraces:
     """Hypothesis hunts for bail orderings the fixed traces miss."""
 
-    SYSTEMS = ["rnuma", "rnuma-migrep", "scoma", "ccnuma-dram",
+    SYSTEMS = ["perfect", "rnuma", "rnuma-migrep", "scoma", "ccnuma-dram",
                "rnuma-hysteresis", "hybrid-mixed"]
 
     @settings(max_examples=15, deadline=None)
@@ -209,6 +181,4 @@ class TestRandomLaneTraces:
         trace = Trace(name="random-lanes", num_procs=num_procs,
                       phases=phases)
         system = data.draw(st.sampled_from(self.SYSTEMS))
-        with pytest.MonkeyPatch.context() as mp:
-            _assert_kernel_matches_batched(cfg, _spec_for(system), trace,
-                                           "interp", mp)
+        _assert_kernel_matches_legacy(cfg, _spec_for(system), trace)

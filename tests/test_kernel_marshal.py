@@ -16,7 +16,7 @@ from repro.cluster.machine import Machine
 from repro.core.factory import build_system
 from repro.engine.classify import classify_phase
 from repro.engine.kernel.state import (
-    CON_BPP, NN_NIC_FREE, KernelState, schedule_arrays)
+    CON_BC_CAP, CON_BPP, NN_NIC_FREE, KernelState, schedule_arrays)
 from repro.mem.page_table import MODE_CODES, PageMode
 from repro.workloads.trace import PhaseTrace
 
@@ -41,7 +41,7 @@ def _marshal(machine, kstate, max_block=63):
     writes = [np.asarray([False, False, False])] * kstate.num_procs
     cls, sched = classify_phase(blocks, writes, kstate.caches,
                                 machine.directory.version)
-    kstate.marshal_phase(sched, len(sched.entries))
+    kstate.marshal_phase(sched, len(sched))
     return sched
 
 
@@ -138,18 +138,93 @@ class TestMirrors:
 
 
 class TestScheduleArrays:
-    def test_cached_per_phase_and_geometry(self, machine, kstate):
+    def test_columns_shared_per_phase_and_geometry(self, machine, kstate):
+        """The walk columns come from the phase's cached static
+        classification: a re-run of the phase passes the very same
+        arrays, another cache geometry gets its own."""
+        from repro.mem.cache import DirectMappedCache
+
         blocks = [np.asarray([1, 1, 2], dtype=np.int64)]
         writes = [np.asarray([True, False, False])]
         phase = PhaseTrace(name="p", compute_per_access=1,
                            blocks=blocks, writes=writes)
-        cls, sched = classify_phase(blocks, writes, [kstate.caches[0]],
-                                    machine.directory.version)
-        first = schedule_arrays(phase, sched, geom_key=(4,))
-        again = schedule_arrays(phase, sched, geom_key=(4,))
-        assert first is again
-        other = schedule_arrays(phase, sched, geom_key=(8,))
-        assert other is not first
+        version = machine.directory.version
+        _, sched = classify_phase(blocks, writes, [DirectMappedCache(4)],
+                                  version, phase=phase)
+        _, again = classify_phase(blocks, writes, [DirectMappedCache(4)],
+                                  version, phase=phase)
+        _, other = classify_phase(blocks, writes, [DirectMappedCache(8)],
+                                  version, phase=phase)
+        first = schedule_arrays(sched)
+        assert all(a is b for a, b in zip(first, schedule_arrays(again)))
+        assert first[0] is not schedule_arrays(other)[0]
         ent_i, ent_p, ent_probe, ent_blk, ent_wrt, ent_slot, keys = first
-        assert list(keys) == list(sched.keys)
-        assert len(ent_i) == len(sched.entries)
+        assert list(keys) == sorted(keys)
+        assert len(ent_i) == len(sched)
+        assert list(ent_blk) == [blocks[0][i] for i in ent_i]
+
+
+class TestIdentityBlockCache:
+    def test_reserve_grows_perfect_cache_to_whole_pages(self, small_config):
+        """perfect's identity-mapped block cache is grown per phase past
+        the phase's largest block, and the walk's frame count follows."""
+        machine = Machine(small_config, build_system("perfect"))
+        num_procs = len(machine.processors)
+        caches = [p.cache for p in machine.processors]
+        node_of = [p.node_id for p in machine.processors]
+        kstate = KernelState(machine, num_procs, caches, node_of)
+        bpp = int(kstate.con[CON_BPP])
+        for max_block in (10, 5 * bpp + 3):
+            kstate.reserve_for_phase(max_block)
+            frames = int(kstate.con[CON_BC_CAP])
+            assert frames >= (max_block // bpp + 1) * bpp
+            for bc in machine.block_caches:
+                assert len(bc._blocks) >= frames
+
+
+class TestBuildCache:
+    """The cached C object is keyed by source, compiler and flags."""
+
+    @staticmethod
+    def _fresh_load(monkeypatch):
+        from repro.engine.kernel import cbuild
+
+        monkeypatch.setattr(cbuild, "_loaded", False)
+        monkeypatch.setattr(cbuild, "_caller", None)
+        return cbuild.load_cwalk()
+
+    @pytest.fixture
+    def cache(self, monkeypatch, tmp_path):
+        """A private, warm build cache built with the default compiler."""
+        monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path))
+        monkeypatch.delenv("REPRO_KERNEL_CC", raising=False)
+        if self._fresh_load(monkeypatch) is None:
+            pytest.skip("no working C toolchain")
+        assert len(list(tmp_path.glob("cwalk-*.so"))) == 1
+        return tmp_path
+
+    def test_unresolvable_override_ignores_warm_cache(self, cache,
+                                                      monkeypatch):
+        monkeypatch.setenv("REPRO_KERNEL_CC", "/nonexistent-compiler")
+        assert self._fresh_load(monkeypatch) is None
+
+    def test_other_compiler_rebuilds(self, cache, monkeypatch, tmp_path):
+        import shutil
+
+        from repro.engine.kernel import cbuild
+
+        wrapper = tmp_path / "wrapped-cc"
+        wrapper.write_text(f"#!/bin/sh\nexec {cbuild._compiler()} \"$@\"\n")
+        wrapper.chmod(0o755)
+        assert shutil.which(str(wrapper))
+        monkeypatch.setenv("REPRO_KERNEL_CC", str(wrapper))
+        assert self._fresh_load(monkeypatch) is not None
+        assert len(list(cache.glob("cwalk-*.so"))) == 2
+
+    def test_other_flags_rebuild(self, cache, monkeypatch):
+        from repro.engine.kernel import cbuild
+
+        monkeypatch.setattr(cbuild, "_FLAGS",
+                            cbuild._FLAGS + ("-DREPRO_CACHE_KEY_TEST",))
+        assert self._fresh_load(monkeypatch) is not None
+        assert len(list(cache.glob("cwalk-*.so"))) == 2

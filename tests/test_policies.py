@@ -434,12 +434,12 @@ class TestAdaptivePoliciesEndToEnd:
         for system in ("migrep", "rnuma"):
             legacy = Machine(cfg, build_system(system)).run(
                 lu_trace, engine="legacy")
-            batched = Machine(cfg, build_system(system)).run(
-                lu_trace, engine="batched")
-            assert legacy.execution_time == batched.execution_time
-            assert legacy.total_remote_misses == batched.total_remote_misses
-            assert legacy.total_migrations == batched.total_migrations
-            assert legacy.total_relocations == batched.total_relocations
+            kernel = Machine(cfg, build_system(system)).run(
+                lu_trace, engine="kernel")
+            assert legacy.execution_time == kernel.execution_time
+            assert legacy.total_remote_misses == kernel.total_remote_misses
+            assert legacy.total_migrations == kernel.total_migrations
+            assert legacy.total_relocations == kernel.total_relocations
 
     def test_at_least_one_adaptive_policy_changes_traffic(self, lu_trace):
         """The policy-adaptivity acceptance property: some adaptive policy

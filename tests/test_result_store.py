@@ -58,7 +58,7 @@ def make_result(workload="lu", system="ccnuma", seed=0, execution_time=1000,
 
 
 def make_key(digest="aa" * 8, system="ccnuma", config="cfg0",
-             engine="batched"):
+             engine="kernel"):
     return (digest, system, config, engine)
 
 
@@ -141,10 +141,10 @@ class TestRoundTrip:
 
 class TestKeySeparation:
     def test_engines_are_separate_rows(self, store):
-        store.put(make_key(engine="batched"), make_result(execution_time=1))
+        store.put(make_key(engine="kernel"), make_result(execution_time=1))
         store.put(make_key(engine="legacy"), make_result(execution_time=2))
         assert len(store) == 2
-        assert store.get(make_key(engine="batched")).stats.execution_time == 1
+        assert store.get(make_key(engine="kernel")).stats.execution_time == 1
         assert store.get(make_key(engine="legacy")).stats.execution_time == 2
 
     def test_systems_configs_digests_are_separate(self, store):
@@ -341,7 +341,7 @@ class TestInspection:
     def test_describe_key(self):
         assert describe_key(make_key()) == {
             "digest": "aa" * 8, "system": "ccnuma", "config": "cfg0",
-            "engine": "batched"}
+            "engine": "kernel"}
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from repro.config import base_config
+from repro.core.ccnuma import CCNUMAProtocol
+from repro.core.factory import SystemSpec
 from repro.experiments.figure5 import run_figure5
 from repro.experiments.runner import (
     SweepRunner,
@@ -15,9 +17,12 @@ from repro.experiments.runner import (
     ensure_runner,
     run_experiment,
 )
+from repro.registry import SYSTEMS, register_system
 from repro.workloads import get_workload
 from repro.workloads.trace import PhaseTrace, Trace
 from repro.workloads.trace_io import load_trace, traces_equal
+
+from test_engine_equivalence import require_c
 
 
 @pytest.fixture(scope="module")
@@ -379,18 +384,50 @@ class TestShmFailureRecovery:
             assert not (live & orphans)
 
 
+class UserCCNUMA(CCNUMAProtocol):
+    """A user protocol overriding base machinery: kernel-ineligible."""
+
+    def handle_miss(self, *args):
+        return super().handle_miss(*args)
+
+
+@pytest.fixture
+def user_system():
+    """A user-registered system around :class:`UserCCNUMA`."""
+    name = "user-ccnuma-test"
+    register_system(SystemSpec(name=name, label="User CC-NUMA",
+                               protocol_factory=UserCCNUMA))
+    try:
+        yield name
+    finally:
+        SYSTEMS.unregister(name)
+
+
 class TestKernelFallbackInWorkers:
     """Engine-lane accounting must survive the process boundary."""
 
-    def test_ineligible_systems_fall_back_inside_pool_workers(self, cfg,
-                                                              ocean_trace,
-                                                              monkeypatch):
-        # perfect's infinite block cache is kernel-ineligible, so the
-        # pool workers run batched and ship the fallback profile home
-        # for note_profile (two distinct configs keep the runs from
-        # collapsing into one memo entry)
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "interp")
-        items = [(ocean_trace, "perfect", c)
+    def test_user_protocol_fallback_is_counted(self, cfg, ocean_trace,
+                                               user_system):
+        """A user protocol subclass runs on legacy, and the fallback is
+        counted and explained rather than vanishing."""
+        with SweepRunner(jobs=1, engine="kernel") as runner:
+            (result,) = runner.map_runs([(ocean_trace, user_system, cfg)])
+            assert runner.stats.kernel_fallbacks == 1
+            assert runner.stats.kernel_runs == 0
+        prof = result.stats.engine_profile
+        assert prof["engine"] == "legacy"
+        assert prof["requested_engine"] == "kernel"
+        assert "UserCCNUMA" in prof["fallback_reason"]
+        direct = run_experiment(ocean_trace, "ccnuma", cfg)
+        assert result.execution_time == direct.execution_time
+
+    def test_ineligible_systems_fall_back_inside_pool_workers(
+            self, cfg, ocean_trace, user_system):
+        # the user protocol is kernel-ineligible, so the pool workers run
+        # legacy and ship the fallback profile home for note_profile (two
+        # distinct configs keep the runs from collapsing into one memo
+        # entry)
+        items = [(ocean_trace, user_system, c)
                  for c in (cfg, base_config(seed=1))]
         with SweepRunner(jobs=2, engine="kernel") as runner:
             par = runner.map_runs(items)
@@ -406,23 +443,21 @@ class TestKernelFallbackInWorkers:
             assert a.summary() == b.summary()
 
     def test_eligible_system_keeps_kernel_lane_in_workers(self, cfg,
-                                                          ocean_trace,
-                                                          monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "interp")
+                                                          ocean_trace):
+        require_c()
         items = [(ocean_trace, system, cfg)
-                 for system in ("ccnuma", "migrep")]
+                 for system in ("perfect", "ccnuma", "migrep")]
         with SweepRunner(jobs=2, engine="kernel") as runner:
             runner.map_runs(items)
-            assert runner.stats.kernel_runs == 2
+            assert runner.stats.kernel_runs == 3
             assert runner.stats.kernel_fallbacks == 0
 
-    def test_bail_kinds_fold_across_workers(self, cfg, ocean_trace,
-                                            monkeypatch):
+    def test_bail_kinds_fold_across_workers(self, cfg, ocean_trace):
         """Per-run bail_kinds aggregate into RunnerStats with the full
         stable key set, and survive the worker process boundary."""
         from repro.engine.kernel import BAIL_KIND_NAMES
 
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "interp")
+        require_c()
         items = [(ocean_trace, system, cfg)
                  for system in ("rnuma", "scoma")]
         with SweepRunner(jobs=2, engine="kernel") as runner:

@@ -189,7 +189,9 @@ class TestInflightDedupe:
             client.shutdown()
 
     def test_progress_events_stream(self, sock):
-        service = SweepService(sock, jobs=1)
+        # the legacy engine keeps the sweep multi-second (the compiled
+        # kernel finishes it within one progress interval)
+        service = SweepService(sock, jobs=1, engine="legacy")
         _start(service)
         client = ServiceClient(sock)
         events = []
@@ -202,7 +204,8 @@ class TestInflightDedupe:
         assert kinds[0] == "accepted"
         assert kinds[-1] == "result"
         progress = [e for e in events if e["event"] == "progress"]
-        # figure5 at this scale runs for ~1.5s, several progress intervals
+        # figure5 at this scale runs for ~1.5s on legacy, several
+        # progress intervals
         assert progress, "no progress events for a multi-second sweep"
         assert all("runs" in e["runner"] for e in progress)
 
