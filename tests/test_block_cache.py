@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -151,3 +153,37 @@ class TestInfiniteBlockCache:
         assert bc.occupancy() == 1
         bc.reserve(100)            # never shrinks
         assert len(frames) > 5000
+
+    def test_matches_dict_model(self):
+        """The identity-mapped cache behaves exactly like an unbounded
+        ``block -> (version, dirty)`` map, growing on fills past the end."""
+        blocks = [0, 1, 5, 2047, 4000]
+        for seed in range(5):
+            rng = random.Random(seed)
+            bc = BlockCache(None)
+            model = {}
+            for _ in range(3000):
+                op = rng.choice(("fill", "lookup", "write", "inval"))
+                block = rng.choice(blocks)
+                version = rng.randrange(4)
+                if op == "fill":
+                    dirty = rng.random() < 0.5
+                    assert bc.fill(block, version, dirty=dirty) is None
+                    model[block] = (version, dirty)
+                elif op == "lookup":
+                    hit = block in model and model[block][0] >= version
+                    assert bc.lookup(block, version) == hit
+                    if block in model and not hit:
+                        del model[block]
+                elif op == "write":
+                    bc.touch_write(block, version)
+                    if block in model:
+                        model[block] = (max(model[block][0], version), True)
+                else:
+                    assert bc.invalidate(block) == (block in model)
+                    model.pop(block, None)
+                assert bc.occupancy() == len(model)
+            assert sorted(bc.resident_blocks()) == sorted(model)
+            for block, (version, dirty) in model.items():
+                assert bc.is_dirty(block) == dirty
+            assert bc.stats.evictions == 0

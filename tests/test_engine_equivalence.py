@@ -335,7 +335,7 @@ class TestKernelEngine:
         machine = Machine(cfg, spec)
         return fingerprint(machine, machine.run(trace, engine="legacy"))
 
-    @pytest.mark.parametrize("system", ["ccnuma", "migrep"])
+    @pytest.mark.parametrize("system", SYSTEM_NAMES)
     def test_kernel_bit_identical(self, system, small_config,
                                   small_machine):
         """The C walk reproduces legacy exactly — including the
@@ -346,7 +346,7 @@ class TestKernelEngine:
         machine = Machine(small_config, build_system(system))
         stats = machine.run(trace, engine="kernel")
         prof = stats.engine_profile
-        assert prof["engine"] == "kernel"
+        assert prof["engine"] == "kernel", prof.get("fallback_reason")
         assert prof["backend"] == "c"
         assert prof["bails"] == sum(prof["bail_kinds"].values())
         assert fingerprint(machine, stats) == ref
@@ -520,6 +520,32 @@ class TestKernelEngine:
         assert stats.network_bytes == ref.network_bytes
         assert stats.stall_breakdown == ref.stall_breakdown
         assert machine.stats.execution_time == ref.execution_time
+
+
+class TestStreamedTraces:
+    """Kernel runs over mmap-backed ``.rpt`` phases (read-only views, one
+    phase resident at a time) match legacy over the in-memory trace."""
+
+    @pytest.mark.parametrize("system", SYSTEM_NAMES)
+    def test_streamed_bit_identical(self, system, small_config,
+                                    small_machine, tmp_path):
+        require_c()
+        from repro.workloads.tracefile import open_trace, write_trace_file
+
+        spec = make_simple_spec(pattern=SharingPattern.MIGRATORY,
+                                accesses=300, write_fraction=0.3,
+                                shift=1, phases=3)
+        trace = make_trace(spec, small_machine, seed=17)
+        path = write_trace_file(trace, tmp_path / "t.rpt")
+        ref_machine = Machine(small_config, build_system(system))
+        ref = fingerprint(ref_machine,
+                          ref_machine.run(trace, engine="legacy"))
+        machine = Machine(small_config, build_system(system))
+        stats = machine.run(open_trace(path), engine="kernel")
+        prof = stats.engine_profile
+        assert prof["engine"] == "kernel", prof.get("fallback_reason")
+        assert prof["references"] == trace.total_accesses()
+        assert fingerprint(machine, stats) == ref
 
 
 class TestEngineSelection:

@@ -23,6 +23,7 @@ from repro.config import (
     ThresholdConfig,
 )
 from repro.core.factory import SYSTEM_NAMES, build_system
+from repro.kernel.placement import PLACEMENT_NAMES
 from repro.workloads.spec import SharingPattern
 from repro.workloads.trace import PhaseTrace, Trace
 
@@ -38,6 +39,8 @@ POLICY_VARIANTS = {
     "hybrid-hysteresis": ("rnuma-migrep", {"migrep_policy": "hysteresis",
                                            "rnuma_policy": "hysteresis"}),
     "hybrid-mixed": ("rnuma-migrep", {"rnuma_policy": "competitive"}),
+    "migrep-cost-model": ("migrep", {"migrep_policy": "cost-model"}),
+    "rnuma-cost-model": ("rnuma", {"rnuma_policy": "cost-model"}),
 }
 
 
@@ -105,6 +108,8 @@ class TestFullFamilyEquivalence:
         "rnuma-competitive": ("decide",),
         "hybrid-hysteresis": ("decide", "migrate"),
         "hybrid-mixed": ("decide", "migrate"),
+        "migrep-cost-model": ("decide",),
+        "rnuma-cost-model": ("decide",),
     }
 
     @pytest.mark.parametrize("variant", sorted(POLICY_VARIANTS))
@@ -147,6 +152,38 @@ class TestLaneActivation:
         _assert_kernel_matches_legacy(
             cfg, build_system("rnuma-migrep"), _harsh_trace(cfg),
             expect_bails=("relocate", "migrate"))
+
+
+class TestPlacementEquivalence:
+    """Home-node placement changes every lane's local/remote split; the
+    walk reads homes from the shared page->home array, so each initial
+    placement must stay bit-identical."""
+
+    @pytest.mark.parametrize("system", ["perfect", "ccnuma", "migrep",
+                                        "rnuma", "scoma"])
+    @pytest.mark.parametrize(
+        "placement", [p for p in PLACEMENT_NAMES if p != "first-touch"])
+    def test_placement_bit_identical(self, placement, system):
+        cfg = _harsh_config().with_placement(placement)
+        _assert_kernel_matches_legacy(cfg, build_system(system),
+                                      _harsh_trace(cfg))
+
+
+class TestSharingPatterns:
+    """Each sharing pattern drives a different mix of hits, coherence
+    misses and page operations through the walk."""
+
+    @pytest.mark.parametrize("system", ["perfect", "ccnuma", "migrep",
+                                        "rnuma-migrep", "scoma"])
+    @pytest.mark.parametrize("pattern", list(SharingPattern),
+                             ids=lambda p: p.value)
+    def test_pattern_bit_identical(self, pattern, system):
+        cfg = _harsh_config()
+        spec = make_simple_spec(pattern=pattern, pages=32, accesses=800,
+                                write_fraction=0.3, shift=1, phases=2,
+                                touches_per_page=4)
+        trace = make_trace(spec, cfg.machine, seed=29)
+        _assert_kernel_matches_legacy(cfg, build_system(system), trace)
 
 
 class TestRandomLaneTraces:
