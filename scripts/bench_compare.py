@@ -41,6 +41,11 @@ Gates enforced by ``--check`` (record schema 6):
    supposed to disappear next to simulation time.  The warm-store
    replay time is recorded informationally (it is bounded by
    unpickling, typically a tiny fraction of the cold sweep).
+6. The many-phases kernel-vs-legacy speedups (the hot-set trace cut
+   into 32 short phases, on ``ccnuma`` and ``rnuma``) must stay within
+   the band of the committed ``current`` recording.  Short phases load
+   the kernel's fixed per-phase cost — classification, re-pointing the
+   bound walk, the statistics fold — rather than the walk itself.
 
 Every timing lane also asserts bit-identical results across engines
 first — a speedup over wrong results is worthless.  Everything measured
@@ -174,6 +179,27 @@ def measure_hot_set(scale: float, repeats: int) -> dict:
                            cfg.machine, seed=0).generate()
     return {"accesses": trace.total_accesses(),
             **_engine_lane(cfg, "ccnuma", trace, repeats)}
+
+
+#: systems of the many-phases lane — gate 6
+MANY_PHASES_SYSTEMS = ("ccnuma", "rnuma")
+
+
+def measure_many_phases(scale: float, repeats: int) -> dict:
+    """Kernel-vs-legacy speedups on the hot-set trace in 32 short phases."""
+    from bench_engine_speedup import hot_set_spec
+    from repro.config import base_config
+    from repro.workloads.generator import TraceGenerator
+
+    cfg = base_config(seed=0)
+    # the hot-set lane's references per processor, spread over 32 phases
+    accesses = max(125, int(250 * scale))
+    trace = TraceGenerator(hot_set_spec(phases=32, accesses_per_proc=accesses),
+                           cfg.machine, seed=0).generate()
+    out = {"accesses": trace.total_accesses(), "phases": len(trace.phases)}
+    for system in MANY_PHASES_SYSTEMS:
+        out[system] = _engine_lane(cfg, system, trace, repeats)
+    return out
 
 
 def measure_sweep(scale: float) -> dict:
@@ -331,6 +357,7 @@ def measure_all(scale: float, repeats: int) -> dict:
     return {
         "miss_dense": measure_miss_dense(scale, repeats),
         "hot_set": measure_hot_set(scale, repeats),
+        "many_phases": measure_many_phases(scale, repeats),
         "sweep_jobs2": measure_sweep(scale * 0.15),
         "streaming": measure_streaming(scale, repeats),
         "store": measure_store(scale * 0.15),
@@ -429,6 +456,25 @@ def check(measured: dict, recorded: dict, tolerance: float) -> int:
         if store["store_hits"] != store["runs"]:
             _fail(failures, "warm store pass recomputed runs that were "
                             "already stored")
+
+    # 6. many-phases bands vs the committed current recording
+    many = measured.get("many_phases", {})
+    for system in MANY_PHASES_SYSTEMS:
+        got = many.get(system, {}).get("kernel", {}).get("speedup_vs_legacy")
+        cur = (current.get("many_phases", {}).get(system, {})
+               .get("kernel", {}).get("speedup_vs_legacy"))
+        if got is None:
+            print(f"many-phases {system} kernel: fell back — gate skipped")
+        elif cur:
+            need = cur * (1 - tolerance)
+            print(f"many-phases {system} kernel speedup vs legacy: "
+                  f"{got:.2f} (recorded {cur:.2f}; gate >= {need:.2f})")
+            if got < need:
+                _fail(failures, f"many-phases {system} kernel speedup "
+                                "regressed")
+        else:
+            print(f"many-phases {system} kernel speedup vs legacy: "
+                  f"{got:.2f} (no recording)")
 
     for msg in failures:
         print(msg, file=sys.stderr)

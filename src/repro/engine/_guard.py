@@ -2,15 +2,18 @@
 
 The kernel pauses the garbage collector for the duration of a run (the
 driver allocates bursts of small objects that survive exactly one
-phase — the worst case for generational collection) and arms the L1
+phase — the worst case for generational collection), arms the L1
 caches' ``watch``/``fill_watch`` hooks so out-of-band line drops and
 fills during bail-time protocol calls demote the engine's
-pre-classified fast references.  Neither effect may outlive the run: a
-leaked GC pause slows everything after the run, and leaked hooks
-corrupt the next run (or user code) touching the same caches.
+pre-classified fast references, and holds zero-copy views of the
+simulator's stores, which export-lock their buffers.  No effect may
+outlive the run: a leaked GC pause slows everything after the run,
+leaked hooks corrupt the next run (or user code) touching the same
+caches, and a leaked view makes every later growth of its store raise
+``BufferError``.
 
 :func:`engine_run_guard` owns that save/arm/restore dance in one place so
-an exception anywhere in the phase loop cannot leak either effect.
+an exception anywhere in the phase loop cannot leak any effect.
 
 :func:`backend_crash_guard` wraps the engine's calls into the compiled C
 walk: an exception escaping it — a marshalling bug, a broken C build —
@@ -65,13 +68,15 @@ def backend_crash_guard(backend: str) -> Iterator[None]:
 @contextmanager
 def engine_run_guard(caches: Sequence,
                      hooks: Sequence[Optional[Callable[[int], None]]],
+                     release: Callable[[], None],
                      ) -> Iterator[None]:
     """Pause the GC and arm per-cache shootdown hooks for one kernel run.
 
     ``hooks`` provides, per cache, the callable to install as both
     ``watch`` and ``fill_watch`` (``None`` leaves that cache's hooks
-    untouched).  On exit — normal or exceptional — the original hooks are
-    restored and the GC is re-enabled iff it was enabled on entry.
+    untouched).  On exit — normal or exceptional — ``release`` drops the
+    run's store views, the original hooks are restored and the GC is
+    re-enabled iff it was enabled on entry.
     """
     gc_was_enabled = gc.isenabled()
     if gc_was_enabled:
@@ -84,6 +89,7 @@ def engine_run_guard(caches: Sequence,
     try:
         yield
     finally:
+        release()
         if gc_was_enabled:
             gc.enable()
         for c, (watch, fill_watch) in zip(caches, saved):

@@ -53,7 +53,7 @@ global position ``i * num_procs + p``.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -84,15 +84,18 @@ class ResidualSchedule:
         Interleave position ``i * num_procs + p`` (int64, ascending) —
         the merge key against demoted references.
 
-    Per processor, ``status[p][slot]`` is 1 when a phase-boundary first
+    ``status`` is one flat uint8 buffer over every processor's slots:
+    ``status[status_off[p] + slot]`` is 1 when a phase-boundary first
     touch was proven a guaranteed hit against the live cache state (the
-    walk skips it) and is cleared again if a shootdown demotes it;
+    walk skips it) and is cleared again if a shootdown demotes it.
+    ``status_off`` (int64, ``num_procs + 1`` entries) is shared with the
+    phase's static classification, ``status`` is fresh per run.
     ``slot_of[p]`` maps every own-stream index to its slot (-1 for
     statically-fast references).
     """
 
     __slots__ = ("i", "p", "probe", "blk", "wrt", "slot", "keys", "status",
-                 "slot_of")
+                 "status_off", "slot_of")
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -111,11 +114,15 @@ class _StaticSchedule:
     line state — happens per run in :func:`classify_phase`: first-touch
     references are *statically* residual probes, and a run marks the
     ones its cache state proves fast in the schedule's ``status`` bytes.
+    Only unwritten first touches with no earlier write to their block in
+    the phase can be proven fast, so just those are kept, as parallel
+    ``ft_*`` columns: the flat reference position (``ft_pos``), the index
+    into the processors' concatenated line stores (``ft_line``), the
+    block (``ft_blk``) and the flat status index (``ft_status``).
     """
 
-    __slots__ = ("out", "columns", "slot_of", "seg_counts",
-                 "ft_prc", "ft_own", "ft_line", "ft_blk", "ft_wrt",
-                 "ft_pw", "ft_slot")
+    __slots__ = ("out", "bounds", "columns", "slot_of", "status_off",
+                 "ft_pos", "ft_line", "ft_blk", "ft_status")
 
 
 def _build_static(blocks: Sequence[np.ndarray], writes: Sequence[np.ndarray],
@@ -221,14 +228,10 @@ def _build_static(blocks: Sequence[np.ndarray], writes: Sequence[np.ndarray],
     st = _StaticSchedule()
     first_touch = np.ones(total, dtype=bool)
     first_touch[tgt] = False
+    out[first_touch] = CLS_PROBE
+    first_touch &= ~wrt
+    first_touch &= pw < 0
     ft_idx = np.flatnonzero(first_touch)
-    out[ft_idx] = CLS_PROBE
-    st.ft_prc = prc[ft_idx].tolist()
-    st.ft_own = own[ft_idx].tolist()
-    st.ft_line = lines[ft_idx].tolist()
-    st.ft_blk = blk[ft_idx].tolist()
-    st.ft_wrt = wrt[ft_idx].tolist()
-    st.ft_pw = pw[ft_idx].tolist()
 
     st.out = out
     res = np.flatnonzero(out != CLS_FAST)
@@ -244,12 +247,23 @@ def _build_static(blocks: Sequence[np.ndarray], writes: Sequence[np.ndarray],
     np.cumsum(seg_counts, out=seg_start[1:])
     slot_global = res_local.copy()
     slot_global[res] -= seg_start[prc[res]]
-    st.seg_counts = [int(c) for c in seg_counts]
-    st.ft_slot = slot_global[ft_idx].tolist()
+    st.status_off = seg_start
 
+    # first-touch candidates: a processor's line store starts at the sum
+    # of the earlier processors' line counts in the concatenation, and a
+    # slot's flat status index is its rank among all residual references
+    line_start = np.zeros(num_procs, dtype=np.int64)
+    np.cumsum(num_lines[:-1], out=line_start[1:])
+    st.ft_pos = ft_idx
+    st.ft_line = line_start[prc[ft_idx]] + lines[ft_idx]
+    st.ft_blk = blk[ft_idx]
+    st.ft_status = res_local[ft_idx]
+
+    st.bounds = []
     st.slot_of = []
     off = 0
     for n in lens:
+        st.bounds.append((off, off + n))
         st.slot_of.append(slot_global[off:off + n])
         off += n
 
@@ -266,20 +280,24 @@ def _build_static(blocks: Sequence[np.ndarray], writes: Sequence[np.ndarray],
 
 
 def classify_phase(blocks: Sequence[np.ndarray], writes: Sequence[np.ndarray],
-                   caches: Sequence[object],
-                   version_of: Callable[[int], int], *,
-                   phase: object = None):
+                   lines: Tuple[Sequence[np.ndarray], Sequence[np.ndarray]],
+                   versions: np.ndarray, *, phase: object = None):
     """Classify one phase's references for every processor.
 
     Parameters
     ----------
     blocks, writes:
         Per-processor reference streams (``writes`` non-zero marks writes).
-    caches:
-        The processors' :class:`~repro.mem.cache.DirectMappedCache` objects
-        in their *current* (phase-start) state.
-    version_of:
-        Directory version lookup (``block -> version``).
+    lines:
+        The processors' :class:`~repro.mem.cache.DirectMappedCache` line
+        stores in their *current* (phase-start) state, as a
+        ``(blocks, versions)`` pair of per-processor int64 arrays (numpy
+        views of :meth:`~repro.mem.cache.DirectMappedCache.line_state`).
+        Their lengths are the cache geometry.
+    versions:
+        The directory's write versions as an int64 array indexed by
+        block id; blocks past its end read as version 0, as in
+        :meth:`~repro.mem.directory.Directory.version`.
     phase:
         The owning :class:`~repro.workloads.trace.PhaseTrace` (or any
         object with a writable ``__dict__``).  When given, the
@@ -289,7 +307,8 @@ def classify_phase(blocks: Sequence[np.ndarray], writes: Sequence[np.ndarray],
         warm workers keep traces alive across runs.
 
     Returns ``(cls, schedule)``: one ``int8`` array of ``CLS_*`` codes per
-    processor, and the residual walk schedule as a
+    processor (views into one fresh flat array), and the residual walk
+    schedule as a
     :class:`ResidualSchedule`.  Phase-boundary first touches that the
     current cache state proves to be guaranteed hits come back as
     ``CLS_FAST`` in ``cls`` with their ``status`` byte set, rather than
@@ -297,7 +316,7 @@ def classify_phase(blocks: Sequence[np.ndarray], writes: Sequence[np.ndarray],
     """
     num_procs = len(blocks)
     lens = [len(b) for b in blocks]
-    num_lines = [c.num_lines for c in caches]
+    num_lines = [len(b) for b in lines[0]]
     geom = tuple(num_lines)
     static = None
     cache_map = None
@@ -321,44 +340,32 @@ def classify_phase(blocks: Sequence[np.ndarray], writes: Sequence[np.ndarray],
                 cache_map[geom] = static
 
     # ---- per-run assembly: fresh mutable state over the shared facts -----
-    out = static.out
-    cls = []
-    off = 0
-    for n in lens:
-        cls.append(out[off:off + n].copy())
-        off += n
+    flat = static.out.copy()
+    cls = [flat[a:b] for a, b in static.bounds]
     schedule = ResidualSchedule()
     (schedule.i, schedule.p, schedule.probe, schedule.blk, schedule.wrt,
      schedule.slot, schedule.keys) = static.columns
     schedule.slot_of = static.slot_of
-    schedule.status = [bytearray(c) for c in static.seg_counts]
+    schedule.status_off = static.status_off
+    status = np.zeros(int(static.status_off[-1]), dtype=np.uint8)
+    schedule.status = status
 
     # ---- first-touch resolution against the live cache state -------------
-    # Few entries (at most one per processor cache line), so a plain
-    # Python pass beats vectorising it.  A first touch is a guaranteed
-    # hit iff it would read-hit now and no write to its block precedes it
-    # in the phase; those are marked in ``status`` (and can be demoted
-    # again by a mid-phase shootdown).
-    ft_prc = static.ft_prc
-    if ft_prc:
-        states = [c.line_state() for c in caches]
-        ft_own = static.ft_own
+    # A candidate first touch (unwritten, no earlier write to its block in
+    # the phase) is a guaranteed hit iff it would read-hit now: its line
+    # holds the block at a version no older than the directory's.  Hits
+    # are marked in ``status`` (and can be demoted again by a mid-phase
+    # shootdown).
+    ft_blk = static.ft_blk
+    if len(ft_blk):
         ft_line = static.ft_line
-        ft_blk = static.ft_blk
-        ft_wrt = static.ft_wrt
-        ft_pw = static.ft_pw
-        ft_slot = static.ft_slot
-        status = schedule.status
-        for k in range(len(ft_prc)):
-            if ft_wrt[k] or ft_pw[k] >= 0:
-                continue
-            p = ft_prc[k]
-            b = ft_blk[k]
-            ln = ft_line[k]
-            cb, cv, _cd = states[p]
-            if cb[ln] == b and cv[ln] >= version_of(b):
-                cls[p][ft_own[k]] = CLS_FAST
-                status[p][ft_slot[k]] = 1
+        hit = np.concatenate(lines[0])[ft_line] == ft_blk
+        cur = np.zeros(len(ft_blk), dtype=np.int64)
+        known = ft_blk < len(versions)
+        cur[known] = versions[ft_blk[known]]
+        hit &= np.concatenate(lines[1])[ft_line] >= cur
+        flat[static.ft_pos[hit]] = CLS_FAST
+        status[static.ft_status[hit]] = 1
     return cls, schedule
 
 
@@ -368,8 +375,9 @@ def _empty_static(lens: Sequence[int]) -> _StaticSchedule:
     e64 = np.empty(0, dtype=np.int64)
     e8 = np.empty(0, dtype=np.uint8)
     st.out = np.zeros(0, dtype=np.int8)
+    st.bounds = [(0, 0)] * len(lens)
     st.columns = (e64, e64, e8, e64, e8, e64, e64)
     st.slot_of = [e64] * len(lens)
-    st.seg_counts = [0] * len(lens)
-    st.ft_prc = []
+    st.status_off = np.zeros(len(lens) + 1, dtype=np.int64)
+    st.ft_pos = st.ft_line = st.ft_blk = st.ft_status = e64
     return st

@@ -6,9 +6,11 @@ by closed-form arithmetic, and only the *residual* references (possible
 hits, upgrades, misses) are walked, in exactly the reference
 interpreter's round-robin order.  The driver marshals the simulator's
 stores into zero-copy numpy views (:mod:`repro.engine.kernel.state`)
-and hands the walk to ``cwalk.c`` — plain C99 built on demand by any
-system compiler and called through ctypes
-(:mod:`repro.engine.kernel.cbuild`).
+and binds ``cwalk.c`` — plain C99 built on demand by any system
+compiler and called through ctypes (:mod:`repro.engine.kernel.cbuild`)
+— to them once per run; a phase re-points only the walk's per-phase
+pointer table, and only a phase that grows the stores re-takes the
+views and binds again.
 
 The walk runs the probe/upgrade/local-fill/block-cache lanes — plus the
 page-cache probe lane for S-COMA-family systems, the home-side MigRep
@@ -193,7 +195,7 @@ def _run(machine: "Machine", trace, bind) -> MachineStats:
     caches = [procs[p].cache for p in range(num_procs)]
     node_of = [procs[p].node_id for p in range(num_procs)]
     lines_of = [c.num_lines for c in caches]
-    version_of = machine.directory.version
+    line_stores = [c.line_state() for c in caches]
     handle_miss = protocol.handle_miss
     service_remote = protocol._service_remote_page
     note_l1_eviction = protocol.note_l1_eviction
@@ -239,8 +241,11 @@ def _run(machine: "Machine", trace, bind) -> MachineStats:
     bail_kinds = {name: 0 for name in BAIL_KIND_NAMES}
     run_t0 = perf_counter()
 
+    # the guard releases the state's views on every exit, so a raised run
+    # leaves no store export-locked
     with engine_run_guard(caches,
-                          [_mk_watch(p, lines_of[p]) for p in range(P)]):
+                          [_mk_watch(p, lines_of[p]) for p in range(P)],
+                          st.release):
         for phase in trace.phases:
             blocks_np = phase.blocks
             writes_np = phase.writes
@@ -257,43 +262,28 @@ def _run(machine: "Machine", trace, bind) -> MachineStats:
                     m = int(arr.max())
                     if m > max_block:
                         max_block = m
+            # re-takes the views, and drops the binding, only on growth
             st.reserve_for_phase(max_block)
 
-            cls, sched = classify_phase(blocks_np, writes_np, caches,
-                                        version_of, phase=phase)
-            n_sched = len(sched)
+            cls, sched = classify_phase(blocks_np, writes_np,
+                                        (st.cb, st.cv), st.dir_versions,
+                                        phase=phase)
             slot_of = sched.slot_of
-            (ent_i, ent_p, ent_probe, ent_blk, ent_wrt, ent_slot,
-             keys) = schedule_arrays(sched)
+            status = sched.status
+            status_off = sched.status_off
             prof_total += sum(lengths)
 
-            st.marshal_phase(sched, n_sched)
+            st.marshal_phase(sched, schedule_arrays(sched))
             st.con[CON_COMPUTE] = compute
             st.con[CON_FAST_UNIT] = fast_unit
             pp[:] = 0
-            for p in range(P):
-                pp[PP_NODE * P + p] = node_of[p]
-                pp[PP_CLOCK * P + p] = timing_procs[p].clock
+            pp[PP_NODE * P:(PP_NODE + 1) * P] = node_of
+            pp[PP_CLOCK * P:(PP_CLOCK + 1) * P] = [
+                timing_procs[p].clock for p in range(P)]
             st.load_absolutes()
-
-            args = (st.con, st.fcon, st.mut, pp, st.nn, st.msg_delta, out,
-                    st.dir_sharers, st.dir_owner, st.dir_versions,
-                    st.dir_tracked,
-                    st.vm_home, st.vm_replicated, st.vm_replica_mask,
-                    st.ctr_read, st.ctr_write, st.ctr_since,
-                    st.ctr_live_r, st.ctr_live_w,
-                    st.hy_scores, st.hy_seen,
-                    st.departed, st.pt_modes, st.pt_tracked, st.pt_faults,
-                    st.bc_blocks, st.bc_versions, st.bc_dirty,
-                    st.cb, st.cv, st.cd, st.status,
-                    ent_i, ent_p, ent_probe, ent_blk, ent_wrt, ent_slot,
-                    keys,
-                    st.rf_counts, st.pg_totals, st.pc_res, st.pc_version,
-                    st.pc_dirty, st.pc_stamp, st.pc_clock, st.pc_nvalid,
-                    st.pc_ndirty, st.pc_fills,
-                    st.place_log, st.q_idx, st.q_blk)
-            with backend_crash_guard("c"):
-                runner = bind(args)
+            if st.runner is None:
+                with backend_crash_guard("c"):
+                    st.runner = bind(st.walk_args())
 
             def demote_pending(i: int, p: int) -> None:
                 """Demote pending fast refs after a page-op L1 shootdown.
@@ -336,7 +326,7 @@ def _run(machine: "Machine", trace, bind) -> MachineStats:
                     in_sched = slots >= 0
                     fast_slots = slots[in_sched]
                     if len(fast_slots):
-                        st.status[p2][fast_slots] = 0
+                        status[status_off[p2] + fast_slots] = 0
                     fresh = own[~in_sched]
                     if len(fresh):
                         blks = blocks_np[p2][fresh].astype(np.int64,
@@ -361,7 +351,7 @@ def _run(machine: "Machine", trace, bind) -> MachineStats:
 
             while True:
                 with backend_crash_guard("c"):
-                    rc = runner()
+                    rc = st.runner()
                 if rc == RC_DONE:
                     break
                 bails += 1
@@ -420,23 +410,18 @@ def _run(machine: "Machine", trace, bind) -> MachineStats:
                         pageop = perform_relocation(node, page, start)
                 if events:
                     demote_pending(i, p)
-                # generic tail: L1 fill + eviction notification
-                cb_p = st.cb[p]
-                cv_p = st.cv[p]
-                cd_p = st.cd[p]
+                # generic tail: L1 fill + eviction notification, through
+                # the owning line stores (the walk's views alias them)
+                line_b, line_v, line_d = line_stores[p]
                 idx = block % lines_of[p]
-                old = int(cb_p[idx])
+                old = line_b[idx]
+                victim_dirty = bool(line_d[idx])
+                line_b[idx] = block
+                line_v[idx] = version
+                line_d[idx] = is_write
                 if old >= 0 and old != block:
-                    victim_dirty = bool(cd_p[idx])
                     pp[PP_EVICT * P + p] += 1
-                    cb_p[idx] = block
-                    cv_p[idx] = version
-                    cd_p[idx] = is_write
                     note_l1_eviction(node, old, victim_dirty)
-                else:
-                    cb_p[idx] = block
-                    cv_p[idx] = version
-                    cd_p[idx] = is_write
                 pp[PP_ACC_CONT * P + p] += wait
                 if remote:
                     pp[PP_ACC_REMOTE * P + p] += service
@@ -449,37 +434,30 @@ def _run(machine: "Machine", trace, bind) -> MachineStats:
                 st.load_nics()
 
             st.flush()
-            # trailing guaranteed hits + per-phase statistics flush
+            # trailing guaranteed hits + per-phase statistics flush, over
+            # plain ints (one conversion instead of a scalar per read)
+            acc = pp.tolist()
             for p in range(P):
-                tail = lengths[p] - int(pp[PP_PTR * P + p])
-                if tail:
-                    pp[PP_CLOCK * P + p] += tail * fast_unit
-                    pp[PP_FAST * P + p] += tail
-                n_hits = int(pp[PP_FAST * P + p]) + int(pp[PP_HITS * P + p])
+                n_hits = (acc[PP_FAST * P + p] + acc[PP_HITS * P + p]
+                          + lengths[p] - acc[PP_PTR * P + p])
                 pt = timing_procs[p]
                 pt.advance(StallKind.COMPUTE, compute * lengths[p])
                 pt.advance(StallKind.L1_HIT, l1_hit_cost * n_hits)
-                pt.advance(StallKind.LOCAL_MISS, int(pp[PP_ACC_LOCAL * P + p]))
-                pt.advance(StallKind.REMOTE_MISS,
-                           int(pp[PP_ACC_REMOTE * P + p]))
-                pt.advance(StallKind.UPGRADE, int(pp[PP_ACC_UPGRADE * P + p]))
-                pt.advance(StallKind.PAGE_OP, int(pp[PP_ACC_PAGEOP * P + p]))
+                pt.advance(StallKind.LOCAL_MISS, acc[PP_ACC_LOCAL * P + p])
+                pt.advance(StallKind.REMOTE_MISS, acc[PP_ACC_REMOTE * P + p])
+                pt.advance(StallKind.UPGRADE, acc[PP_ACC_UPGRADE * P + p])
+                pt.advance(StallKind.PAGE_OP, acc[PP_ACC_PAGEOP * P + p])
                 pt.advance(StallKind.MAPPING_FAULT,
-                           int(pp[PP_ACC_FAULT * P + p]))
-                pt.advance(StallKind.CONTENTION, int(pp[PP_ACC_CONT * P + p]))
+                           acc[PP_ACC_FAULT * P + p])
+                pt.advance(StallKind.CONTENTION, acc[PP_ACC_CONT * P + p])
                 ns = node_stats[node_of[p]]
                 ns.accesses += lengths[p]
                 ns.l1_hits += n_hits
                 caches[p].credit_batch(
-                    hits=n_hits + int(pp[PP_UPG * P + p]),
-                    misses=int(pp[PP_MISS * P + p]),
-                    evictions=int(pp[PP_EVICT * P + p]),
-                    invalidations=int(pp[PP_INVAL * P + p]))
-            st.release()
-            # the bound walk and the bail-loop line aliases hold store
-            # views too: drop them with the state's, so the next phase's
-            # reserve can grow the stores in place
-            args = runner = cb_p = cv_p = cd_p = None
+                    hits=n_hits + acc[PP_UPG * P + p],
+                    misses=acc[PP_MISS * P + p],
+                    evictions=acc[PP_EVICT * P + p],
+                    invalidations=acc[PP_INVAL * P + p])
 
             machine.timing.barrier(costs.barrier_cost)
             machine.stats.barrier_count += 1

@@ -31,7 +31,7 @@ import numpy as np
 
 _SOURCE = Path(__file__).with_name("cwalk.c")
 _FLAGS = ("-O2", "-shared", "-fPIC")
-_N_ARGS = 52
+_N_ARGS = 45
 
 _loaded = False
 _caller: Optional[Callable] = None
@@ -116,11 +116,14 @@ def load_cwalk() -> Optional[Callable]:
     ``args`` is the argument tuple of ``repro_kernel_walk`` in
     ``cwalk.c`` (array arguments, and lists of per-processor or
     per-node arrays passed as pointer tables).  ``bind`` flattens the
-    list-of-array arguments into pointer tables once per phase;
-    ``runner() -> rc`` re-enters the walk.  Only the demoted-queue
-    arrays (the last two arguments) can be replaced between re-entries,
-    so the runner refreshes exactly those table slots whose array object
-    changed — everything else keeps its phase-start pointer.
+    list-of-array arguments into pointer tables once per set of store
+    views — once per run unless a phase outgrows the stores — and
+    ``runner() -> rc`` enters or re-enters the walk, in any phase.
+    Per-phase inputs reach the walk through the ``phase`` pointer table
+    the driver re-points in place.  Only the demoted-queue arrays (the
+    last two arguments) can be replaced between entries, so the runner
+    refreshes exactly those table slots whose array object changed —
+    everything else keeps its bind-time pointer.
     """
     global _loaded, _caller
     if _loaded:
@@ -140,7 +143,7 @@ def load_cwalk() -> Optional[Callable]:
         if len(args) != _N_ARGS:  # pragma: no cover - internal contract
             raise ValueError("kernel walk argument count mismatch")
         c_args = []
-        tables = []   # kept alive by the closure for the phase
+        tables = []   # kept alive by the runner
         for a in args:
             if isinstance(a, list):
                 tab = np.fromiter((x.ctypes.data for x in a),

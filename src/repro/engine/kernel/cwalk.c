@@ -8,7 +8,9 @@
  * Built on demand by cbuild.py (plain `cc -O2 -shared -fPIC`, no Python
  * headers needed) and called through ctypes; every argument is a raw
  * array base pointer obtained from the numpy views, so the walk mutates
- * the simulator's stores in place.
+ * the simulator's stores in place.  The arguments are bound once per run;
+ * the per-phase inputs (schedule columns, status bytes) are reached
+ * through the `phase` pointer table, which the driver re-points.
  */
 
 #include <stdint.h>
@@ -142,6 +144,17 @@
 #define OUT_VERSION 12
 #define OUT_FAULT 13
 #define OUT_EVAL 14
+
+/* PH slots — the per-phase pointer table (see state.py) */
+#define PH_I 0
+#define PH_P 1
+#define PH_PROBE 2
+#define PH_BLK 3
+#define PH_WRT 4
+#define PH_SLOT 5
+#define PH_KEYS 6
+#define PH_STATUS 7
+#define PH_STATUS_OFF 8
 
 /* return codes */
 #define RC_DONE 0
@@ -290,9 +303,7 @@ int64_t repro_kernel_walk(
     uint8_t** departed, uint8_t** pt_modes,
     uint8_t** pt_tracked, int64_t** pt_faults,
     int64_t** bc_blocks, int64_t** bc_versions, uint8_t** bc_dirty,
-    int64_t** cb, int64_t** cv, uint8_t** cd, uint8_t** status,
-    int64_t* ent_i, int64_t* ent_p, uint8_t* ent_probe, int64_t* ent_blk,
-    uint8_t* ent_wrt, int64_t* ent_slot, int64_t* keys,
+    int64_t** cb, int64_t** cv, uint8_t** cd, void** phase,
     int64_t** rf_counts, int64_t* pg_totals,
     uint8_t** pc_res, int64_t** pc_version, uint8_t** pc_dirty,
     int64_t** pc_stamp, int64_t** pc_clock, int64_t** pc_nvalid,
@@ -354,6 +365,17 @@ int64_t repro_kernel_walk(
     const double hy_threshold = fcon[FCON_HY_THRESHOLD];
     const double hy_decay = fcon[FCON_HY_DECAY];
 
+    /* the phase's schedule columns and first-touch status bytes */
+    const int64_t* ent_i = (const int64_t*)phase[PH_I];
+    const int64_t* ent_p = (const int64_t*)phase[PH_P];
+    const uint8_t* ent_probe = (const uint8_t*)phase[PH_PROBE];
+    const int64_t* ent_blk = (const int64_t*)phase[PH_BLK];
+    const uint8_t* ent_wrt = (const uint8_t*)phase[PH_WRT];
+    const int64_t* ent_slot = (const int64_t*)phase[PH_SLOT];
+    const int64_t* keys = (const int64_t*)phase[PH_KEYS];
+    const uint8_t* status = (const uint8_t*)phase[PH_STATUS];
+    const int64_t* status_off = (const int64_t*)phase[PH_STATUS_OFF];
+
     int64_t k = mut[MUT_K];
 
     /* earliest demoted-queue head; recomputed only on queue consumption */
@@ -393,7 +415,7 @@ int64_t repro_kernel_walk(
             is_write = ent_wrt[k];
             slot = ent_slot[k];
             k += 1;
-            if (status[p][slot])
+            if (status[status_off[p] + slot])
                 continue;    /* first touch proven fast: consumed via ptr */
         } else {
             break;

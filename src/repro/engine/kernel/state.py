@@ -1,6 +1,6 @@
 """State marshalling between the simulator's stores and the kernel walk.
 
-The compiled residual kernel executes one phase's
+The compiled residual kernel executes each phase's
 :class:`~repro.engine.classify.ResidualSchedule` against flat integer
 arrays.  This module builds those arrays — **views, not copies** — over
 the simulator's live buffer-backed stores (the directory columns, the
@@ -8,20 +8,28 @@ page map, the page tables' mode bytes, the block-cache frames, the L1
 line stores and the MigRep counter columns), together with the small
 engine-owned arrays the walk scribbles its bookkeeping into (per-proc
 accumulators, per-node bus/NIC/statistics mirrors, the bail "out"
-record).
+record, the per-phase pointer table).
 
 Marshalling contract
 --------------------
-* **Shared stores are zero-copy.**  Every store view is an
-  ``np.frombuffer`` over the owning object's ``array``/``bytearray``
-  buffer, so a write on either side is immediately visible to the other.
-  While the views exist the buffers are *export-locked*: any in-place
-  growth would raise ``BufferError`` instead of silently leaving the
-  kernel with dangling pointers.  :meth:`KernelState.reserve_for_phase`
-  therefore pre-reserves every store past the phase's maxima (whole
-  pages, so page operations executed during bails cannot grow anything
-  either) *before* the views are taken, and :meth:`release` drops them
-  before the next phase's reserve.
+* **Shared stores are zero-copy and held for the run.**  Every store
+  view is an ``np.frombuffer`` over the owning object's
+  ``array``/``bytearray`` buffer, so a write on either side is
+  immediately visible to the other.  While the views exist the buffers
+  are *export-locked*: any in-place growth would raise ``BufferError``
+  instead of silently leaving the kernel with dangling pointers.
+  :meth:`KernelState.reserve_for_phase` takes the views once, after
+  reserving every store past the first phase's maxima (whole pages, so
+  page operations executed during bails cannot grow anything either),
+  and keeps them — with the walk bound to them — for as long as later
+  phases stay within the covered pages.  Only a phase reaching past them
+  drops the views and the binding, grows the stores and re-takes the
+  views; :meth:`release` drops everything at the end of the run.
+* **Per-phase inputs go through one pointer table.**  The schedule
+  columns and the first-touch status bytes change every phase, so the
+  walk reads them through ``phase`` (``PH_*`` slots), which
+  :meth:`KernelState.marshal_phase` re-points; the binding never sees
+  them.
 * **Python-object state is mirrored as deltas.**  Counters that live in
   plain Python attributes (``NodeStats`` fields, cache statistics, the
   directory's scalar counters, message counts) accumulate in int64 delta
@@ -105,6 +113,13 @@ MUT_SIZE = 8
  OUT_VERSION, OUT_FAULT, OUT_EVAL) = range(15)
 OUT_SIZE = 16
 
+#: PH — the per-phase pointer table: addresses of the schedule columns
+#: (in :func:`schedule_arrays` order), the flat status bytes and their
+#: per-processor offsets.
+(PH_I, PH_P, PH_PROBE, PH_BLK, PH_WRT, PH_SLOT, PH_KEYS, PH_STATUS,
+ PH_STATUS_OFF) = range(9)
+PH_SIZE = 9
+
 #: Walk return codes.
 RC_DONE = 0            #: phase complete
 RC_BAIL_FAULT = 1      #: mapping fault — execute via ``handle_miss``
@@ -143,11 +158,14 @@ def schedule_arrays(sched):
 
 
 class KernelState:
-    """One phase's marshalled state: store views, mirrors and schedule.
+    """One run's marshalled state: store views, mirrors and the binding.
 
-    Built per phase (store buffers may have grown between phases, moving
-    the underlying memory); :meth:`release` must be called before the
-    next phase's pre-reserve so the export locks are dropped.
+    Built once per run.  The store views, and the walk bound to them
+    (``runner``, set by the driver; ``None`` while stale), live across
+    phases until a phase reaches past the covered pages — then
+    :meth:`reserve_for_phase` drops both, grows the stores and re-takes
+    the views.  :meth:`release` must be called on every exit from the
+    run so the buffers' export locks are dropped.
     """
 
     def __init__(self, machine, num_procs, caches, node_of):
@@ -273,8 +291,10 @@ class KernelState:
         self.msg_delta = np.zeros(len(net.stats._counts), dtype=np.int64)
         self.out = np.zeros(OUT_SIZE, dtype=np.int64)
 
-        # empty demoted queues (replaced by the driver after demotions)
-        empty = np.empty(0, dtype=np.int64)
+        # empty demoted queues (replaced by the driver after demotions);
+        # resetting to the one empty array keeps the bound walk's queue
+        # pointers valid without a refresh
+        empty = self._no_queue = np.empty(0, dtype=np.int64)
         self.q_idx = [empty] * num_procs
         self.q_blk = [empty] * num_procs
 
@@ -283,54 +303,67 @@ class KernelState:
         # PageRecords are materialized lazily by materialize_placements
         self.place_log = empty
 
-        # store views — taken lazily per phase (see marshal_phase)
+        # per-phase pointer table, and the arrays its addresses point into
+        self.phase = np.zeros(PH_SIZE, dtype=np.uint64)
+        self._phase_refs = None
+
+        # store views and the walk bound to them — taken by the first
+        # reserve_for_phase, re-taken only when a phase outgrows them
+        self.runner = None
+        self.pages_covered = 0
         self._views_live = False
 
-    # -- per-phase store views ----------------------------------------------
+    # -- run-scoped store views ---------------------------------------------
 
     def reserve_for_phase(self, max_block: int) -> None:
-        """Pre-reserve every growable store past this phase's maxima.
+        """Make the store views cover this phase's pages.
 
-        Reservation covers *whole pages* (``(max_page + 1) * bpp``
-        blocks): page operations executed during bails touch every block
-        of the faulting page, and nothing a phase can do reaches beyond
-        its pages — so no in-place growth can happen while the views
-        below hold the buffers' export locks.
+        A no-op while the live views already cover every page up to the
+        one holding ``max_block``.  Otherwise the views and the binding
+        are dropped, every growable store is reserved past the phase's
+        maxima and the views are taken again; the driver re-binds the
+        walk because ``runner`` is then ``None``.  Reservation covers
+        *whole pages* (``(max_page + 1) * bpp`` blocks): page operations
+        executed during bails touch every block of the faulting page, and
+        nothing a phase can do reaches beyond its pages — so no in-place
+        growth can happen while the views hold the buffers' export locks.
         """
-        if max_block < 0:
-            return
+        need = max_block // int(self.con[CON_BPP]) + 1 if max_block >= 0 else 0
+        if self._views_live:
+            if need <= self.pages_covered:
+                return
+            self.release()
+        if need:
+            self._grow(need)
+        self._take_views()
+
+    def _grow(self, pages: int) -> None:
+        """Reserve every growable store to cover page ids ``< pages``."""
         machine = self.machine
-        bpp = int(self.con[CON_BPP])
-        max_page = max_block // bpp
-        machine.directory.reserve((max_page + 1) * bpp)
-        machine.vm.reserve(max_page + 1)
+        blocks = pages * int(self.con[CON_BPP])
+        machine.directory.reserve(blocks)
+        machine.vm.reserve(pages)
         for pt in machine.page_tables:
-            pt.reserve(max_page + 1)
+            pt.reserve(pages)
         if self.counters is not None:
-            self.counters.reserve(max_page + 1)
+            self.counters.reserve(pages)
         if self.hy_policy is not None:
-            self.hy_policy.reserve(max_page + 1, num_nodes=self.num_nodes)
+            self.hy_policy.reserve(pages, num_nodes=self.num_nodes)
         if self.rnuma is not None:
-            self.rnuma._reserve_totals(max_page + 1)
+            self.rnuma._reserve_totals(pages)
             for rc in self.rnuma.refetch_counters:
-                rc.reserve(max_page + 1)
+                rc.reserve(pages)
             for pc in machine.page_caches:
                 if pc is not None:
-                    pc.reserve(max_page + 1)
+                    pc.reserve(pages)
         if self.bc_identity:
             # identity-mapped frames: covering every block id the phase
             # can touch makes the walk's ``block % cap`` the identity
-            bcs = machine.block_caches
-            frames = max((max_page + 1) * bpp,
-                         max(len(bc._blocks) for bc in bcs))
-            for bc in bcs:
-                bc.reserve(frames)
-            self.con[CON_BC_CAP] = frames
-        if len(self.place_log) < max_page + 1:
-            self.place_log = np.empty(max_page + 1, dtype=np.int64)
+            for bc in machine.block_caches:
+                bc.reserve(blocks)
 
-    def marshal_phase(self, sched, n_sched: int) -> None:
-        """Take the zero-copy store views for one phase's walk."""
+    def _take_views(self) -> None:
+        """Take the zero-copy store views and record the pages they cover."""
         machine = self.machine
         directory = machine.directory
         vm = machine.vm
@@ -356,7 +389,6 @@ class KernelState:
             self.cb.append(_i64(blocks_l))
             self.cv.append(_i64(versions_l))
             self.cd.append(_u8(dirty_l))
-        self.status = [_u8(s) for s in sched.status]
         if self.counters is not None:
             c = self.counters
             self.ctr_read = _i64(c._read)
@@ -406,24 +438,85 @@ class KernelState:
             self.pc_nvalid = [e64] * N
             self.pc_ndirty = [e64] * N
             self.pc_fills = [e64] * N
+        bpp = int(self.con[CON_BPP])
         self.con[CON_DIR_CAP] = len(self.dir_sharers)
         self.con[CON_VM_LEN] = len(self.vm_home)
-        self.con[CON_N_SCHED] = n_sched
+        # every page-indexed store must cover a page for the walk to touch
+        # it; the smallest capacity bounds the phases these views serve
+        covered = [len(self.vm_home), len(self.dir_sharers) // bpp]
+        covered += [len(m) for m in self.pt_modes]
+        if self.counters is not None:
+            covered.append(len(self.ctr_since))
+        if self.hy_policy is not None:
+            covered.append(len(self.hy_seen))
+        if self.rnuma is not None:
+            covered.append(len(self.pg_totals))
+            covered += [len(c) for c in self.rf_counts]
+            covered += [len(s) for s in self.pc_stamp]
+        if self.bc_identity:
+            frames = min(len(b) for b in self.bc_blocks)
+            self.con[CON_BC_CAP] = frames
+            covered.append(frames // bpp)
+        self.pages_covered = min(covered)
+        if len(self.place_log) < self.pages_covered:
+            self.place_log = np.empty(self.pages_covered, dtype=np.int64)
+        self._views_live = True
+
+    def walk_args(self) -> tuple:
+        """The walk's argument tuple, in ``repro_kernel_walk`` order.
+
+        Bound once per set of views; the per-phase inputs are reached
+        through the ``phase`` pointer table instead.
+        """
+        return (self.con, self.fcon, self.mut, self.pp, self.nn,
+                self.msg_delta, self.out,
+                self.dir_sharers, self.dir_owner, self.dir_versions,
+                self.dir_tracked,
+                self.vm_home, self.vm_replicated, self.vm_replica_mask,
+                self.ctr_read, self.ctr_write, self.ctr_since,
+                self.ctr_live_r, self.ctr_live_w,
+                self.hy_scores, self.hy_seen,
+                self.departed, self.pt_modes, self.pt_tracked,
+                self.pt_faults,
+                self.bc_blocks, self.bc_versions, self.bc_dirty,
+                self.cb, self.cv, self.cd, self.phase,
+                self.rf_counts, self.pg_totals, self.pc_res,
+                self.pc_version, self.pc_dirty, self.pc_stamp,
+                self.pc_clock, self.pc_nvalid, self.pc_ndirty,
+                self.pc_fills,
+                self.place_log, self.q_idx, self.q_blk)
+
+    def marshal_phase(self, sched, columns) -> None:
+        """Point the walk at one phase's schedule.
+
+        ``columns`` are the schedule's walk columns
+        (:func:`schedule_arrays`); their addresses and the schedule's
+        status bytes go into the ``phase`` pointer table, which also
+        keeps the arrays alive.  The walk position and the demoted
+        queues restart.
+        """
+        table = self.phase
+        for slot, col in enumerate(columns):
+            table[slot] = col.ctypes.data
+        table[PH_STATUS] = sched.status.ctypes.data
+        table[PH_STATUS_OFF] = sched.status_off.ctypes.data
+        self._phase_refs = (columns, sched.status, sched.status_off)
+        self.con[CON_N_SCHED] = len(sched)
         self.mut[MUT_K] = 0
-        empty = self.q_idx[0][:0]
+        empty = self._no_queue
         for p in range(self.num_procs):
             self.q_idx[p] = empty
             self.q_blk[p] = empty
-        self._views_live = True
 
     def release(self) -> None:
-        """Drop the store views (and their buffer export locks)."""
+        """Drop the bound walk and the store views (and their export locks)."""
+        self.runner = None
         self.dir_sharers = self.dir_owner = self.dir_versions = None
         self.dir_tracked = self.departed = None
         self.vm_home = self.vm_replicated = self.vm_replica_mask = None
         self.pt_modes = self.pt_tracked = self.pt_faults = None
         self.bc_blocks = self.bc_versions = None
-        self.bc_dirty = self.cb = self.cv = self.cd = self.status = None
+        self.bc_dirty = self.cb = self.cv = self.cd = None
         self.ctr_read = self.ctr_write = self.ctr_since = None
         self.ctr_live_r = self.ctr_live_w = None
         self.hy_scores = self.hy_seen = None
@@ -431,6 +524,7 @@ class KernelState:
         self.pc_res = self.pc_version = self.pc_dirty = None
         self.pc_stamp = self.pc_clock = self.pc_nvalid = None
         self.pc_ndirty = self.pc_fills = None
+        self.pages_covered = 0
         self._views_live = False
 
     # -- mirror synchronisation ---------------------------------------------
@@ -585,5 +679,5 @@ class KernelState:
 
 __all__ = [name for name in dir() if name.startswith(("CON_", "FCON_", "PP_",
                                                       "NN_", "MUT_", "OUT_",
-                                                      "RC_"))]
+                                                      "PH_", "RC_"))]
 __all__ += ["KernelState", "schedule_arrays"]

@@ -9,6 +9,8 @@ only fixtures (and re-exports these helpers for backwards compatibility).
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.config import MachineConfig
 from repro.workloads.generator import TraceGenerator
 from repro.workloads.spec import PageGroup, Phase, SharingPattern, WorkloadSpec
@@ -41,3 +43,11 @@ def make_trace(spec: WorkloadSpec, machine: MachineConfig, *, seed: int = 0,
     """Generate a trace for ``spec`` on ``machine``."""
     return TraceGenerator(spec, machine, access_scale=access_scale,
                           seed=seed).generate()
+
+
+def line_views(caches):
+    """The caches' line stores as the ``(blocks, versions)`` int64 views
+    :func:`repro.engine.classify.classify_phase` reads."""
+    states = [c.line_state() for c in caches]
+    return ([np.frombuffer(s[0], dtype=np.int64) for s in states],
+            [np.frombuffer(s[1], dtype=np.int64) for s in states])

@@ -25,8 +25,10 @@ from repro.workloads.trace import PhaseTrace, Trace
 
 import numpy as np
 
-from helpers import make_simple_spec, make_trace
+from helpers import line_views, make_simple_spec, make_trace
 
+#: a directory version column no block reaches: every version reads 0
+NO_VERSIONS = np.zeros(0, dtype=np.int64)
 
 NODE_FIELDS = (
     "accesses", "l1_hits", "upgrades", "local_misses", "block_cache_hits",
@@ -270,7 +272,8 @@ class TestResidualSchedule:
         blocks = [np.asarray(b, dtype=np.int64) for b, _ in streams]
         writes = [np.asarray(w, dtype=bool) for _, w in streams]
         caches = [DirectMappedCache(num_lines) for _ in streams]
-        return classify_phase(blocks, writes, caches, lambda b: 0)
+        return classify_phase(blocks, writes, line_views(caches),
+                              NO_VERSIONS)
 
     def test_entries_in_interleave_order_with_slots(self):
         cls, sched = self._classify([([1, 1, 2], [1, 0, 0]),
@@ -290,11 +293,64 @@ class TestResidualSchedule:
         cache.fill(1, version=0)
         cls, sched = classify_phase([np.asarray([1, 1], dtype=np.int64)],
                                     [np.asarray([0, 0], dtype=bool)],
-                                    [cache], lambda b: 0)
+                                    line_views([cache]), NO_VERSIONS)
         # the first touch is a residual slot, marked fast for this run
         assert cls[0][0] == CLS_FAST
         slot = int(sched.slot_of[0][0])
-        assert slot >= 0 and sched.status[0][slot] == 1
+        assert slot >= 0 and sched.status[sched.status_off[0] + slot] == 1
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_first_touch_resolution_matches_reference(self, seed):
+        """Vectorised first-touch resolution against a reference pass in
+        interleave order: a processor's first reference to a line is fast
+        iff it is a read, no write to its block precedes it in the phase,
+        and the live line holds the block at a version no older than the
+        directory's."""
+        from repro.engine.classify import CLS_FAST, classify_phase
+        from repro.mem.cache import DirectMappedCache
+
+        rng = np.random.default_rng(seed)
+        P, L, span, n = 4, 8, 16, 30
+        blocks = [rng.integers(0, span, n, dtype=np.int64) for _ in range(P)]
+        writes = [rng.random(n) < 0.2 for _ in range(P)]
+        # a short version column: later blocks read as version 0; every
+        # seed yields fresh, stale and earlier-written resident first touches
+        versions = rng.integers(0, 3, span // 2, dtype=np.int64)
+        caches = []
+        for p in range(P):
+            cache = DirectMappedCache(L)
+            for b in blocks[p][:L]:
+                cache.fill(int(b), version=int(rng.integers(0, 2)))
+            caches.append(cache)
+
+        cold = [DirectMappedCache(L) for _ in range(P)]
+        base, _ = classify_phase(blocks, writes, line_views(cold),
+                                 NO_VERSIONS)
+        cls, sched = classify_phase(blocks, writes, line_views(caches),
+                                    versions)
+
+        expected = [c.copy() for c in base]
+        status = np.zeros_like(sched.status)
+        seen, written = set(), set()
+        for i in range(n):
+            for p in range(P):
+                b, w = int(blocks[p][i]), bool(writes[p][i])
+                line = b % L
+                if (p, line) not in seen:
+                    seen.add((p, line))
+                    cur = int(versions[b]) if b < len(versions) else 0
+                    if (not w and b not in written
+                            and caches[p].version_of(b) is not None
+                            and caches[p].version_of(b) >= cur):
+                        expected[p][i] = CLS_FAST
+                        slot = sched.slot_of[p][i]
+                        status[sched.status_off[p] + slot] = 1
+                if w:
+                    written.add(b)
+        for got, want in zip(cls, expected):
+            assert list(got) == list(want)
+        assert list(sched.status) == list(status)
+        assert status.any()
 
     def test_static_schedule_cached_on_phase(self):
         from repro.engine import classify as C
@@ -314,8 +370,9 @@ class TestResidualSchedule:
         C._build_static = counting
         try:
             for _ in range(3):
-                C.classify_phase(phase.blocks, phase.writes, caches,
-                                 lambda b: 0, phase=phase)
+                C.classify_phase(phase.blocks, phase.writes,
+                                 line_views(caches), NO_VERSIONS,
+                                 phase=phase)
         finally:
             C._build_static = orig
         assert len(calls) == 1

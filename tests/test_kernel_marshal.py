@@ -20,6 +20,8 @@ from repro.engine.kernel.state import (
 from repro.mem.page_table import MODE_CODES, PageMode
 from repro.workloads.trace import PhaseTrace
 
+from helpers import line_views
+
 
 @pytest.fixture
 def machine(small_config):
@@ -39,9 +41,9 @@ def _marshal(machine, kstate, max_block=63):
     kstate.reserve_for_phase(max_block)
     blocks = [np.asarray([1, 2, 1], dtype=np.int64)] * kstate.num_procs
     writes = [np.asarray([False, False, False])] * kstate.num_procs
-    cls, sched = classify_phase(blocks, writes, kstate.caches,
-                                machine.directory.version)
-    kstate.marshal_phase(sched, len(sched))
+    cls, sched = classify_phase(blocks, writes, (kstate.cb, kstate.cv),
+                                kstate.dir_versions)
+    kstate.marshal_phase(sched, schedule_arrays(sched))
     return sched
 
 
@@ -148,12 +150,15 @@ class TestScheduleArrays:
         writes = [np.asarray([True, False, False])]
         phase = PhaseTrace(name="p", compute_per_access=1,
                            blocks=blocks, writes=writes)
-        version = machine.directory.version
-        _, sched = classify_phase(blocks, writes, [DirectMappedCache(4)],
+        version = np.frombuffer(machine.directory._version, dtype=np.int64)
+        _, sched = classify_phase(blocks, writes,
+                                  line_views([DirectMappedCache(4)]),
                                   version, phase=phase)
-        _, again = classify_phase(blocks, writes, [DirectMappedCache(4)],
+        _, again = classify_phase(blocks, writes,
+                                  line_views([DirectMappedCache(4)]),
                                   version, phase=phase)
-        _, other = classify_phase(blocks, writes, [DirectMappedCache(8)],
+        _, other = classify_phase(blocks, writes,
+                                  line_views([DirectMappedCache(8)]),
                                   version, phase=phase)
         first = schedule_arrays(sched)
         assert all(a is b for a, b in zip(first, schedule_arrays(again)))
