@@ -28,8 +28,10 @@ Gates enforced by ``--check`` (record schema 6):
    install stays green.
 2. The hot-set kernel-vs-legacy speedup must stay within the band of
    the committed ``current`` recording.
-3. The warm shared-memory ``jobs=2`` sweep must not be slower than the
-   cold per-worker npz path beyond the tolerance band.
+3. A warm ``jobs=2`` sweep (the same runner again: trace files already
+   spilled, pool up, files open in the workers) must not be slower than
+   the cold pass of a fresh runner (spill, pool start-up, cold opens)
+   beyond the tolerance band.
 4. Streaming a trace from an on-disk trace file
    (:class:`repro.workloads.tracefile.StreamingTrace`) must cost at most
    10% over running the same trace in memory — the mmap-served phase
@@ -203,7 +205,13 @@ def measure_many_phases(scale: float, repeats: int) -> dict:
 
 
 def measure_sweep(scale: float) -> dict:
-    """Figure-sized jobs=2 sweep: warm shared-memory vs cold npz workers."""
+    """Figure-sized jobs=2 sweep: cold pass of a fresh runner vs warm pass.
+
+    The cold pass spills every trace to its ``.rpt`` file, starts the
+    pool and opens each file cold in the workers; the warm pass runs the
+    same items through the same runner again (``memoize=False``, so
+    every run executes), with the files spilled and open already.
+    """
     from repro.config import base_config
     from repro.experiments.runner import SweepRunner
     from repro.workloads import get_workload
@@ -214,37 +222,32 @@ def measure_sweep(scale: float) -> dict:
     items = [(t, s, cfg) for t in traces
              for s in ("perfect", "ccnuma", "migrep", "rnuma")]
 
-    def sweep():
-        with SweepRunner(jobs=2, memoize=False) as runner:
-            runner.map_runs(items)
-            return runner.stats
-
-    # two passes each, best-of: pool start-up and 2-worker scheduling on
-    # small CI machines are noisy, and the gate compares the two numbers
-    # against each other rather than against a committed recording
-    cold_times = []
-    os.environ["REPRO_NO_SHM"] = "1"
-    try:
-        for _ in range(2):
-            t0 = time.perf_counter()
-            sweep()
-            cold_times.append(time.perf_counter() - t0)
-    finally:
-        os.environ.pop("REPRO_NO_SHM", None)
-    warm_times = []
-    for _ in range(2):
+    def timed(runner):
         t0 = time.perf_counter()
-        stats = sweep()
-        warm_times.append(time.perf_counter() - t0)
+        runner.map_runs(items)
+        return time.perf_counter() - t0
+
+    # two fresh runners, best-of: pool start-up and 2-worker scheduling
+    # on small CI machines are noisy, and the gate compares the two
+    # numbers against each other rather than against a committed
+    # recording
+    cold_times, warm_times = [], []
+    for _ in range(2):
+        with SweepRunner(jobs=2, memoize=False) as runner:
+            cold_times.append(timed(runner))
+            cold = runner.stats.as_dict()
+            warm_times.append(timed(runner))
+            warm = runner.stats.as_dict()
     cold_s = min(cold_times)
     warm_s = min(warm_times)
     return {
         "runs": len(items),
-        "cold_npz_s": round(cold_s, 4),
-        "warm_shm_s": round(warm_s, 4),
+        "cold_s": round(cold_s, 4),
+        "warm_s": round(warm_s, 4),
         "warm_speedup": round(cold_s / warm_s, 3),
-        "shm_attaches": stats.shm_attaches,
-        "worker_reuse": stats.worker_reuse,
+        "traces_spilled": cold["traces_spilled"],
+        "cold_file_maps": cold["file_maps"],
+        "warm_worker_reuse": warm["worker_reuse"] - cold["worker_reuse"],
     }
 
 
@@ -415,16 +418,15 @@ def check(measured: dict, recorded: dict, tolerance: float) -> int:
     else:
         print(f"hot-set kernel speedup vs legacy: {hot:.2f} (no recording)")
 
-    # 3. warm shared-memory workers must not lose to the cold path.  Both
-    # sides are fresh best-of-two wall clocks (no committed anchor), so
-    # the margin is doubled to keep small shared CI machines from
-    # flaking the build.
+    # 3. a warm runner must not lose to a cold one.  Both sides are fresh
+    # best-of-two wall clocks (no committed anchor), so the margin is
+    # doubled to keep small shared CI machines from flaking the build.
     sw = measured["sweep_jobs2"]
-    print(f"jobs=2 sweep: warm {sw['warm_shm_s']}s vs cold "
-          f"{sw['cold_npz_s']}s (x{sw['warm_speedup']})")
-    if sw["warm_shm_s"] > sw["cold_npz_s"] * (1 + 2 * tolerance):
-        _fail(failures, "warm shared-memory sweep slower than the cold npz "
-                        "path")
+    print(f"jobs=2 sweep: warm {sw['warm_s']}s vs cold "
+          f"{sw['cold_s']}s (x{sw['warm_speedup']})")
+    if sw["warm_s"] > sw["cold_s"] * (1 + 2 * tolerance):
+        _fail(failures, "warm jobs=2 sweep slower than the cold pass of a "
+                        "fresh runner")
 
     # 4. streaming overhead: a file-served run may cost at most 10% over
     # the in-memory run of the same trace (both sides fresh wall clocks,

@@ -48,10 +48,13 @@ def _clean_env() -> dict:
 
 
 def _spawn_daemon(sock: Path, store: Path) -> subprocess.Popen:
+    # a SIGKILLed daemon cannot remove its trace spill directory: keep it
+    # inside the check's temporary directory
+    env = dict(_clean_env(), TMPDIR=str(store.parent))
     return subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--socket", str(sock),
          "--store", str(store), "--jobs", "2"],
-        env=_clean_env(), stdout=subprocess.DEVNULL,
+        env=env, stdout=subprocess.DEVNULL,
         stderr=subprocess.STDOUT)
 
 

@@ -50,25 +50,25 @@ The public API is intentionally small:
     run one (workload, system) pair and collect execution time, miss
     breakdowns and page-operation counts.
 
-``SweepRunner`` / ``SweepJournal`` / ``RunnerStats``
+``SweepRunner`` / ``RunnerStats``
     execute batches of independent runs — memoized by a trace/config
-    digest and fanned out across *supervised* worker processes — the
-    engine behind every figure/table/ablation harness.  Worker crashes,
-    hangs and run exceptions are classified, retried with capped
-    exponential backoff and demoted down a shm → npz → inline
-    degradation ladder; a :class:`SweepJournal` checkpoints completed
-    results so an interrupted sweep resumes without recomputing
-    (``repro exp --journal/--resume``), and :class:`RunnerStats`
-    surfaces the cache/dispatch/fault counters.
+    digest and fanned out across *supervised* worker processes that
+    mmap each trace from a file — the engine behind every
+    figure/table/ablation harness.  Worker crashes, hangs and run
+    exceptions are classified and retried with capped exponential
+    backoff, the last attempt inline; :class:`RunnerStats` surfaces the
+    cache/dispatch/fault counters.
 
 ``ResultStore``
     the durable, content-addressed result store: one SQLite file holding
     every completed run keyed by the same trace/config digests as the
-    runner's memo table and the journal, with provenance, checksums and
-    schema migration.  Wire it in with ``SweepRunner(store=...)``,
-    ``run_scenario(store=...)`` or ``repro exp --store PATH`` — a sweep
-    re-run in a fresh process replays from the store without simulating
-    (``repro store ls|verify|gc|export`` inspects one).
+    runner's memo table, with provenance, checksums and schema
+    migration.  Wire it in with ``SweepRunner(store=...)``,
+    ``run_scenario(store=...)`` or ``repro exp --store PATH``; it is the
+    sweep's checkpoint — a sweep killed mid-flight and re-run against
+    the store executes only the missing runs, and a finished one replays
+    without simulating (``repro store ls|verify|gc|export`` inspects
+    one).
 
 ``SweepService`` / ``ServiceClient``
     the persistent sweep service: a warm local daemon (``repro serve``)
@@ -145,7 +145,6 @@ from repro.engine import ENGINE_NAMES
 from repro.experiments.runner import (
     ExperimentResult,
     RunnerStats,
-    SweepJournal,
     SweepRunner,
     run_experiment,
     run_pair,
@@ -227,7 +226,6 @@ __all__ = [
     "run_pair",
     "ExperimentResult",
     "SweepRunner",
-    "SweepJournal",
     "RunnerStats",
     "ResultStore",
     "SweepService",

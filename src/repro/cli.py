@@ -21,8 +21,6 @@ command                 what it does
                         workload straight to disk), ``import`` (convert
                         tab-separated or valgrind-lackey recordings),
                         ``info`` and ``verify``
-``clean-shm``           unlink shared-memory trace segments orphaned by
-                        dead repro processes
 ``store``               inspect the durable result store: ``ls``, ``verify``,
                         ``gc``, ``export``
 ``serve``               run the persistent sweep service (a warm daemon on a
@@ -31,8 +29,9 @@ command                 what it does
 =====================  ====================================================
 
 ``repro exp`` composes with both: ``--store PATH`` checkpoints every
-completed run into a durable SQLite store (a second invocation — even in
-a new process — replays from it without simulating), and ``--service
+completed run into a durable SQLite store (re-running a killed sweep
+executes only its missing runs; a second invocation of a finished one —
+even in a new process — replays without simulating), and ``--service
 SOCKET`` submits the scenario to a running ``repro serve`` daemon
 instead of executing locally.
 
@@ -202,9 +201,6 @@ def _default_store(args: argparse.Namespace) -> Optional[str]:
 
 def _make_runner(args: argparse.Namespace) -> SweepRunner:
     kwargs = {}
-    if getattr(args, "journal", None):
-        kwargs["journal"] = args.journal
-        kwargs["resume"] = bool(getattr(args, "resume", False))
     if getattr(args, "retries", None) is not None:
         kwargs["retries"] = args.retries
     if getattr(args, "run_timeout", None) is not None:
@@ -282,9 +278,6 @@ def _render_profile(runner: SweepRunner, rs: ResultSet) -> str:
                                     if k != "bail_kinds")]
     lines.append("bails:  " + "  ".join(f"{k}={v}" for k, v in kinds.items())
                  + f"  total={sum(kinds.values())}")
-    if runner.stats.shm_error_messages:
-        lines.append("shm errors:")
-        lines += [f"  {msg}" for msg in runner.stats.shm_error_messages]
     profs = [(r.workload, r.system, r.stats.engine_profile)
              for r in runner.iter_results()
              if r.stats.engine_profile is not None]
@@ -354,16 +347,6 @@ def _run_exp(args: argparse.Namespace, name: str):
         profile = (_render_profile(runner, rs)
                    if getattr(args, "profile", False) else None)
     return rs, profile
-
-
-def _cmd_clean_shm(args: argparse.Namespace) -> int:
-    from repro.workloads.trace_io import cleanup_orphan_segments
-    names = cleanup_orphan_segments(dry_run=args.dry_run)
-    verb = "would remove" if args.dry_run else "removed"
-    for name in names:
-        print(f"{verb} /dev/shm/{name}")
-    print(f"{verb} {len(names)} orphaned segment(s)")
-    return 0
 
 
 def _store_path(args: argparse.Namespace) -> Optional[str]:
@@ -449,10 +432,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 #: ``repro exp`` flags that configure the *local* runner and therefore
-#: conflict with ``--service`` (the daemon owns its runner, store and
-#: journal; submissions only carry axis overrides).
-_SERVICE_INCOMPATIBLE = ("jobs", "engine", "journal", "resume", "retries",
-                         "run_timeout", "store", "policy")
+#: conflict with ``--service`` (the daemon owns its runner and store;
+#: submissions only carry axis overrides).
+_SERVICE_INCOMPATIBLE = ("jobs", "engine", "retries", "run_timeout", "store",
+                         "policy")
 
 
 def _cmd_exp_service(args: argparse.Namespace,
@@ -502,9 +485,6 @@ def _cmd_exp_service(args: argparse.Namespace,
 
 
 def _cmd_exp(args: argparse.Namespace) -> int:
-    if getattr(args, "resume", False) and not getattr(args, "journal", None):
-        print("error: --resume requires --journal PATH", file=sys.stderr)
-        return 2
     if getattr(args, "service", None):
         try:
             scenario = SCENARIOS.resolve(args.scenario)
@@ -767,11 +747,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="worker processes (default: REPRO_JOBS or 1)")
     exp_p.add_argument("--engine", choices=ENGINE_NAMES, default=None,
                        help="simulation engine (default: kernel)")
-    exp_p.add_argument("--journal", type=str, default=None,
-                       help="checkpoint completed runs to this JSONL file")
-    exp_p.add_argument("--resume", action="store_true",
-                       help="restore already-journaled runs instead of "
-                            "recomputing them (requires --journal)")
     exp_p.add_argument("--retries", type=int, default=None,
                        help="retry budget per run for crashed/hung/failed "
                             "workers (default: REPRO_RETRIES or 3)")
@@ -780,9 +755,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: REPRO_RUN_TIMEOUT or none)")
     exp_p.add_argument("--store", type=str, default=None,
                        help="durable result store (SQLite): completed runs "
-                            "are checkpointed into it and future sweeps — "
-                            "in any process — replay from it (default: "
-                            "REPRO_STORE if set)")
+                            "are checkpointed into it, and a re-run — after "
+                            "a crash or in any process — executes only the "
+                            "runs it is missing (default: REPRO_STORE if "
+                            "set)")
     exp_p.add_argument("--service", type=str, default=None,
                        metavar="SOCKET",
                        help="submit the scenario to a running `repro serve` "
@@ -869,13 +845,6 @@ def build_parser() -> argparse.ArgumentParser:
                        "digest and the whole-trace digest")
     verify_p.add_argument("path")
 
-    clean_p = sub.add_parser(
-        "clean-shm",
-        help="unlink shared-memory trace segments orphaned by dead "
-             "repro processes")
-    clean_p.add_argument("--dry-run", action="store_true",
-                         help="list the orphans without removing them")
-
     store_p = sub.add_parser(
         "store", help="inspect or prune a durable result store")
     store_p.add_argument("--store", type=str, default=None,
@@ -941,7 +910,6 @@ _COMMANDS: Dict[str, Callable[[argparse.Namespace], int]] = {
     "sweep": _cmd_sweep,
     "analyze": _cmd_analyze,
     "trace": _cmd_trace,
-    "clean-shm": _cmd_clean_shm,
     "store": _cmd_store,
     "serve": _cmd_serve,
 }

@@ -2,8 +2,8 @@
 
 The supervised :class:`~repro.experiments.runner.SweepRunner` promises
 that a sweep survives its own workers dying: crashed or hung runs are
-retried on a respawned pool and repeat offenders degrade to safer
-execution lanes, with the final :class:`ResultSet` bit-identical to a
+retried on a respawned pool and repeat offenders land on the inline
+lane in the supervising process, with the final :class:`ResultSet` bit-identical to a
 fault-free run.  This module provides the *proof harness* for that
 invariant — environment-driven injectors that kill, hang or poison a
 chosen fraction of worker runs, selected **deterministically** from the
@@ -25,16 +25,15 @@ pool workers, which inherit the parent's environment):
 ``REPRO_FAULTS_ATTEMPTS``
     How many attempts of an afflicted run fault before it is allowed to
     succeed (default ``1`` — the first attempt faults, the retry runs
-    clean).  Set it ``>= retries`` to force the runner all the way down
-    the shm → npz → inline degradation ladder.
+    clean).  Set it ``>= retries`` to force every run down the ladder
+    from the file lane to inline execution.
 ``REPRO_FAULTS_HANG_S``
     Sleep duration of the ``hang`` injector in seconds (default 3600);
     must exceed the runner's ``run_timeout`` to trigger the kill path.
 
-Injection happens only in the worker entry points (``_execute_shm_run``
-/ ``_execute_stored_run`` / ``_execute_file_run``); the runner's inline
-degradation lane executes in the supervising process and is never
-injected — which is exactly what makes the ladder a safe landing.
+Injection happens only in the worker entry point (``_execute_file_run``);
+the runner's inline lane executes in the supervising process and is
+never injected — which is exactly what makes the ladder a safe landing.
 """
 
 from __future__ import annotations

@@ -15,63 +15,48 @@ the system name and the configuration — so e.g. the perfect-CC-NUMA
 baseline of an application is simulated once per sweep, not once per
 figure, and re-renders are free.
 
-Parallel dispatch is *zero-copy* with respect to the trace streams: the
-runner publishes each distinct trace once into a digest-keyed
-shared-memory pool (:class:`SharedTracePool`, via
-:func:`repro.workloads.trace_io.trace_to_shm`) and submits only
-``(meta, digest, system, config)`` to the pool.  Warm workers attach a
-segment the first time they see its digest — one ``mmap``, no
-deserialization — and keep it in a per-process cache, so repeated runs
-of the same trace cost nothing to ship.  When the platform offers no
-shared memory (or ``REPRO_NO_SHM`` is set) the runner falls back to the
-digest-keyed on-disk npz store (:class:`TraceStore`): workers then load
-a trace the first time they see its digest and cache it per process, so
-a figure-sized sweep still pickles no stream arrays at all.
-
-File-backed traces (:class:`repro.workloads.tracefile.StreamingTrace`)
-ride their own lane: the trace already *is* a digest-carrying on-disk
-artifact, so the runner submits just its path — workers mmap the file
-and stream phases out of core, and nothing is ever published to shm or
-spilled to npz.  Their content digest comes from the file footer, so
-memoization, journaling and resume work without hashing a single stream
-byte.
+Parallel dispatch ships no stream arrays: every pooled run travels as a
+trace *file* path plus ``(digest, system, config)``.  A file-backed
+trace (:class:`repro.workloads.tracefile.StreamingTrace`) ships its own
+path, and its content digest comes from the file footer, so memoization
+needs no stream hashing.  An in-memory trace is spilled once, on its
+first pooled dispatch, as ``<digest>.rpt`` (:func:`~repro.workloads.
+tracefile.write_trace_file`) into a runner-private temporary directory
+that honours ``TMPDIR`` and is removed on :meth:`SweepRunner.close`.
+Workers mmap a file the first time they see its digest and keep it open
+per process, so repeated runs of the same trace cost nothing to ship.
 
 Parallel execution is *supervised*: futures are harvested as they
 complete, so one dying worker cannot orphan finished results.  Failures
 are classified — worker crash (``BrokenProcessPool``), wall-clock
 timeout (the runner kills the hung pool), or an exception raised by the
 run itself — and failed runs are retried on a respawned pool with
-capped exponential backoff, degrading repeat offenders from the
-shared-memory lane to the npz lane to inline execution in the
-supervising process (which cannot crash the sweep).  Completed results
-can additionally be checkpointed to an append-only
-:class:`SweepJournal`, letting an interrupted or killed sweep resume
-without recomputing anything (``repro exp --journal/--resume``).  The
-deterministic fault injectors in :mod:`repro.experiments.faults` prove
-the invariant: a sweep under injected crashes/hangs returns results
-bit-identical to a fault-free run.
+capped exponential backoff; the last attempt runs inline in the
+supervising process (which cannot crash the sweep).  Pool workers exit
+on their own once the supervisor is gone, so a killed sweep leaves no
+process behind.  The deterministic fault injectors in
+:mod:`repro.experiments.faults` prove the invariant: a sweep under
+injected crashes/hangs returns results bit-identical to a fault-free
+run.
 
-The memo table itself can be made durable: a content-addressed
+The memo table can be made durable: a content-addressed
 :class:`~repro.experiments.store.ResultStore` (``store=`` /
 ``repro exp --store``) is consulted before any pending run executes and
-upserted after, sharing the exact memo/journal key scheme — so a sweep
-re-run in a fresh process serves entirely from the store, and the
-persistent sweep service (:mod:`repro.experiments.service`) keeps one
-warm store shared by every client.
+upserted as each run is harvested, sharing the memo key scheme — so a
+sweep killed at any instant loses at most its in-flight runs, a re-run
+in a fresh process executes only the missing runs, and the persistent
+sweep service (:mod:`repro.experiments.service`) keeps one warm store
+shared by every client.
 """
 
 from __future__ import annotations
 
-import base64
-import hashlib
-import json
 import os
-import pickle
 import shutil
 import tempfile
+import threading
 import time
 import weakref
-import zlib
 from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
@@ -83,8 +68,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
-import numpy as np
-
 from repro.cluster.machine import Machine
 from repro.config import SimulationConfig, base_config
 from repro.core.factory import SystemSpec, build_system
@@ -94,18 +77,14 @@ from repro.experiments import faults as _faults
 from repro.experiments.store import ResultStore
 from repro.stats.counters import MachineStats
 from repro.workloads.trace import Trace
-from repro.workloads.trace_io import (
-    load_trace,
-    save_trace,
-    trace_from_shm,
-    trace_to_shm,
+from repro.workloads.tracefile import (
+    TRACE_FILE_SUFFIX,
+    StreamingTrace,
+    TraceFileError,
+    read_trace_header,
+    trace_digest,
+    write_trace_file,
 )
-from repro.workloads.tracefile import StreamingTrace, trace_digest
-
-#: Environment variable disabling the shared-memory trace pool (any
-#: non-empty value): parallel dispatch then falls back to the on-disk
-#: npz store with per-worker deserialization.
-NO_SHM_ENV_VAR = "REPRO_NO_SHM"
 
 #: Environment variable giving the default retry budget per run.
 RETRIES_ENV_VAR = "REPRO_RETRIES"
@@ -312,193 +291,30 @@ def _execute_run(trace: Trace, system_name: str, cfg: SimulationConfig,
 
 
 # ---------------------------------------------------------------------------
-# Digest-keyed on-disk trace store (zero-copy parallel dispatch)
+# The file lane: workers mmap trace files
 # ---------------------------------------------------------------------------
 
 
-class TraceStore:
-    """Digest-keyed on-disk store of traces shared with worker processes.
+def _watch_parent() -> None:
+    """Pool-worker initializer: exit once the supervising process is gone.
 
-    Each distinct trace is spilled exactly once, as ``<digest>.npz``
-    (written via :func:`repro.workloads.trace_io.save_trace`, whose
-    round-trip is bit-exact), into ``root``.  Workers re-load the file on
-    first use and cache the trace per process, so submitting N runs of the
-    same trace moves its streams across the process boundary zero times —
-    only the path string travels.
-
-    Parameters
-    ----------
-    root:
-        Directory for the archives.  ``None`` (the default) creates a
-        private temporary directory on first use and removes it on
-        :meth:`close`; an explicit directory is reused across runners and
-        never deleted.
+    A SIGKILLed supervisor cannot shut its pool down, and an idle worker
+    blocked on the call queue would otherwise live on, reparented to
+    init.  A daemon thread polls the parent pid and ends the worker as
+    soon as it changes.
     """
+    parent = os.getppid()
 
-    def __init__(self, root: Optional[Union[str, Path]] = None) -> None:
-        self._root = Path(root) if root is not None else None
-        self._owned = root is None
-        self._saved: set = set()
-        #: number of archives this store has actually written to disk
-        self.spills = 0
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(0.5)
+        os._exit(1)
 
-    @property
-    def root(self) -> Path:
-        """The store directory (created on first use)."""
-        if self._root is None:
-            self._root = Path(tempfile.mkdtemp(prefix="repro-traces-"))
-        else:
-            self._root.mkdir(parents=True, exist_ok=True)
-        return self._root
-
-    def path_for(self, digest: str) -> Path:
-        """Path of the archive holding the trace with ``digest``."""
-        return self.root / f"{digest}.npz"
-
-    def ensure(self, trace: Trace, digest: str) -> Path:
-        """Spill ``trace`` under ``digest`` if not already stored; return its path.
-
-        The archive is written to a temporary name and renamed into place
-        so concurrent runners sharing an explicit ``root`` never observe a
-        half-written file.
-        """
-        path = self.path_for(digest)
-        if digest not in self._saved:
-            if not path.exists():
-                # save_trace itself is atomic (tmp + os.replace)
-                save_trace(trace, path)
-                self.spills += 1
-            self._saved.add(digest)
-        return path
-
-    def __enter__(self) -> "TraceStore":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def close(self) -> None:
-        """Remove the store directory (only when this store created it)."""
-        if self._owned and self._root is not None:
-            shutil.rmtree(self._root, ignore_errors=True)
-            self._root = None
-            self._saved.clear()
+    threading.Thread(target=watch, name="repro-parent-watch",
+                     daemon=True).start()
 
 
-#: Per-worker-process LRU cache of traces loaded from a TraceStore.
-#: Bounded: map_runs submits runs of the same trace back to back, so a
-#: small cache gets the same hit rate as an unbounded one without letting
-#: long multi-trace sweeps accumulate every trace in every worker.
-_WORKER_TRACES: "Dict[str, Trace]" = {}
-_WORKER_TRACE_LIMIT = 4
-
-
-def _execute_stored_run(trace_path: str, digest: str, system_name: str,
-                        cfg: SimulationConfig, engine: str,
-                        attempt: int = 0) -> ExperimentResult:
-    """Worker entry point taking a stored trace reference instead of arrays."""
-    _faults.inject_from_env(digest, system_name, attempt)
-    trace = _WORKER_TRACES.pop(digest, None)
-    if trace is None:
-        trace = load_trace(trace_path)
-        while len(_WORKER_TRACES) >= _WORKER_TRACE_LIMIT:
-            _WORKER_TRACES.pop(next(iter(_WORKER_TRACES)))
-    _WORKER_TRACES[digest] = trace   # re-insert = move to MRU position
-    return _execute_run(trace, system_name, cfg, engine)
-
-
-# ---------------------------------------------------------------------------
-# Warm shared-memory workers
-# ---------------------------------------------------------------------------
-
-
-class SharedTracePool:
-    """Digest-keyed pool of traces published in shared memory.
-
-    The publishing (runner) process copies each distinct trace once into
-    a named ``multiprocessing.shared_memory`` segment; worker processes
-    attach by name and rebuild a zero-copy trace
-    (:func:`repro.workloads.trace_io.trace_from_shm`), so a run costs one
-    ``mmap`` the first time a worker sees a digest and *nothing* after
-    that — the per-run npz decompression of the cold path disappears.
-    The pool owns the segments: :meth:`close` unlinks them (workers'
-    attaches are deregistered from their resource trackers, so nothing
-    else ever unlinks a segment) and returns a description of any
-    cleanup race it hit instead of swallowing it, so the runner can
-    surface the failure in :class:`RunnerStats`.  Worker death never
-    leaks a segment held by a *live* publisher; segments orphaned by a
-    killed publisher are reclaimed by
-    :func:`repro.workloads.trace_io.cleanup_orphan_segments`
-    (``repro clean-shm``).
-    """
-
-    def __init__(self) -> None:
-        self._segments: Dict[str, Tuple[object, Dict[str, object]]] = {}
-        #: number of segments this pool has published
-        self.segments = 0
-
-    def ensure(self, trace: Trace, digest: str) -> Dict[str, object]:
-        """Publish ``trace`` under ``digest`` if new; return its attach meta."""
-        entry = self._segments.get(digest)
-        if entry is None:
-            name = f"repro_{digest[:16]}_{os.getpid()}"
-            shm, meta = trace_to_shm(trace, name)
-            entry = (shm, meta)
-            self._segments[digest] = entry
-            self.segments += 1
-        return entry[1]
-
-    def close(self) -> List[str]:
-        """Unlink every published segment; return cleanup error messages."""
-        errors: List[str] = []
-        for shm, _meta in self._segments.values():
-            try:
-                shm.close()
-                shm.unlink()
-            except Exception as exc:  # pragma: no cover - platform races
-                errors.append(f"unlink {getattr(shm, 'name', '?')}: "
-                              f"{type(exc).__name__}: {exc}")
-        self._segments.clear()
-        return errors
-
-
-#: Per-worker cache of shared-memory traces: digest -> (trace, shm).
-#: The shm handle must stay referenced while the trace's arrays (views
-#: into the segment) are alive; eviction drops both together and lets
-#: reference counting tear the mapping down.
-_WORKER_SHM: "Dict[str, Tuple[Trace, object]]" = {}
-_WORKER_SHM_LIMIT = 4
-
-
-def _execute_shm_run(meta: Dict[str, object], digest: str, system_name: str,
-                     cfg: SimulationConfig, engine: str, attempt: int = 0
-                     ) -> Tuple[ExperimentResult, bool]:
-    """Worker entry point for shared-memory traces.
-
-    Returns ``(result, attached)`` — ``attached`` is True when this call
-    had to map the segment (a cold worker), False when the warm cache
-    served it; the runner aggregates these into
-    :class:`RunnerStats.shm_attaches` / ``worker_reuse``.
-    """
-    _faults.inject_from_env(digest, system_name, attempt)
-    entry = _WORKER_SHM.pop(digest, None)
-    attached = False
-    if entry is None:
-        trace, shm = trace_from_shm(meta)
-        attached = True
-        while len(_WORKER_SHM) >= _WORKER_SHM_LIMIT:
-            _WORKER_SHM.pop(next(iter(_WORKER_SHM)))
-        entry = (trace, shm)
-    _WORKER_SHM[digest] = entry   # re-insert = move to MRU position
-    return _execute_run(entry[0], system_name, cfg, engine), attached
-
-
-# ---------------------------------------------------------------------------
-# File-backed traces (out-of-core parallel dispatch)
-# ---------------------------------------------------------------------------
-
-
-#: Per-worker cache of open streaming traces, keyed by digest.  An open
+#: Per-worker cache of open trace files, keyed by digest.  An open
 #: :class:`StreamingTrace` holds one read-only mmap plus cached phase
 #: *views* (not data), so the cache is cheap no matter how large the
 #: traces are; keeping it warm preserves the per-phase classification
@@ -510,13 +326,13 @@ _WORKER_FILE_LIMIT = 4
 def _execute_file_run(trace_path: str, digest: str, system_name: str,
                       cfg: SimulationConfig, engine: str,
                       attempt: int = 0) -> Tuple[ExperimentResult, bool]:
-    """Worker entry point for file-backed (streaming) traces.
+    """Worker entry point: run one trace file (the only pooled lane).
 
     Only the path string crosses the process boundary — the worker mmaps
     the trace file on first sight of its digest and streams phases from
     it, never materializing the trace.  Returns ``(result, opened)``;
     ``opened`` is True when this call had to open/map the file (a cold
-    worker), mirroring the shm lane's attach accounting.
+    worker).
     """
     _faults.inject_from_env(digest, system_name, attempt)
     trace = _WORKER_FILES.pop(digest, None)
@@ -530,119 +346,8 @@ def _execute_file_run(trace_path: str, digest: str, system_name: str,
     return _execute_run(trace, system_name, cfg, engine), opened
 
 
-# ---------------------------------------------------------------------------
-# Sweep journal: crash-safe checkpoint of completed results
-# ---------------------------------------------------------------------------
-
-
-#: The memo/journal key: (trace digest, system, config repr, engine).
+#: The memo key: (trace digest, system, config repr, engine).
 RunKey = Tuple[str, str, str, str]
-
-#: Journal record format version (bump on incompatible change).
-JOURNAL_FORMAT = 1
-
-
-class SweepJournal:
-    """Append-only JSONL checkpoint of completed sweep results.
-
-    Each record is one line — ``{"v": 1, "key": [digest, system, config,
-    engine], "result": <base64(zlib(pickle))>}`` — appended and flushed
-    as soon as the run is harvested, so a sweep killed at any instant
-    loses at most the in-flight runs.  On resume (``resume=True``) the
-    journal is parsed leniently: a torn trailing record from a killed
-    writer is skipped, everything before it is restored.  Restored
-    results pre-populate the owning :class:`SweepRunner`'s memo table,
-    so a resumed sweep re-executes **zero** already-completed runs
-    (observable as ``RunnerStats.runs == 0`` /
-    ``RunnerStats.journal_hits``).
-
-    The journal key is the runner's content-addressed memo key — trace
-    digest, system name, canonical config description and engine — so
-    resuming is safe across processes and machines: a changed workload,
-    config or engine simply misses the journal and recomputes.
-
-    .. note:: records embed pickled :class:`ExperimentResult` objects;
-       load journals only from paths you trust, like any pickle.
-
-    Parameters
-    ----------
-    path:
-        The journal file.  Parent directories are created on first
-        append.
-    resume:
-        ``True`` loads existing records into :attr:`loaded`; ``False``
-        (the default) truncates any existing file and starts fresh.
-    """
-
-    def __init__(self, path: Union[str, Path], *, resume: bool = False) -> None:
-        self.path = Path(path)
-        self._fh = None
-        self.loaded: Dict[RunKey, ExperimentResult] = {}
-        if resume:
-            self.loaded = self._load()
-        elif self.path.exists():
-            self.path.unlink()
-
-    def _load(self) -> Dict[RunKey, ExperimentResult]:
-        out: Dict[RunKey, ExperimentResult] = {}
-        if not self.path.exists():
-            return out
-        with open(self.path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rec = json.loads(line)
-                    key = tuple(rec["key"])
-                    blob = zlib.decompress(base64.b64decode(rec["result"]))
-                    result = pickle.loads(blob)
-                except Exception:
-                    continue   # torn tail record from a killed writer
-                if len(key) == 4 and isinstance(result, ExperimentResult):
-                    out[key] = result   # type: ignore[index]
-        return out
-
-    def append(self, key: RunKey, result: ExperimentResult) -> None:
-        """Checkpoint one completed run (flushed immediately).
-
-        Opening an existing journal for append first *heals* a torn
-        tail: when a killed writer left the file without a trailing
-        newline, a newline is written before the new record so the torn
-        fragment stays isolated on its own line (skipped by the lenient
-        loader) instead of corrupting the first record of the resumed
-        sweep.
-        """
-        if self._fh is None:
-            if self.path.parent != Path("."):
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-            heal = False
-            try:
-                with open(self.path, "rb") as existing:
-                    existing.seek(-1, os.SEEK_END)
-                    heal = existing.read(1) != b"\n"
-            except (OSError, ValueError):
-                pass   # missing or empty file: nothing to heal
-            self._fh = open(self.path, "a", encoding="utf-8")
-            if heal:
-                self._fh.write("\n")
-        blob = base64.b64encode(zlib.compress(
-            pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL))).decode("ascii")
-        self._fh.write(json.dumps(
-            {"v": JOURNAL_FORMAT, "key": list(key), "result": blob}) + "\n")
-        self._fh.flush()
-
-    def __enter__(self) -> "SweepJournal":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def close(self) -> None:
-        """Close the underlying file (appends reopen it)."""
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
 
 
 @dataclass
@@ -652,11 +357,8 @@ class RunnerStats:
     runs: int = 0           # simulations actually executed
     memo_hits: int = 0      # results served from the memo table
     parallel_runs: int = 0  # runs dispatched to worker processes
-    traces_spilled: int = 0  # distinct traces written to the on-disk store
-    shm_segments: int = 0   # traces published as shared-memory segments
-    shm_attaches: int = 0   # cold worker attaches (one mmap each)
+    traces_spilled: int = 0  # in-memory traces written out as trace files
     worker_reuse: int = 0   # parallel runs served by a warm worker's trace
-    file_runs: int = 0      # runs dispatched on the file (streaming) lane
     file_maps: int = 0      # cold worker opens of a trace file (one mmap each)
     bytes_streamed: int = 0  # logical stream bytes served from trace files
     peak_rss_kb: int = 0    # max peak RSS observed across executed runs
@@ -666,21 +368,15 @@ class RunnerStats:
     crashes: int = 0        # runs charged with killing a worker process
     timeouts: int = 0       # runs killed by the per-run wall-clock timeout
     run_errors: int = 0     # runs whose execution raised an exception
-    degradations: int = 0   # lane demotions (shm -> npz -> inline)
-    journal_hits: int = 0   # results restored from a resumed journal
+    degradations: int = 0   # lane demotions (file -> inline)
     store_hits: int = 0     # pending runs served from the durable store
     store_misses: int = 0   # pending runs the durable store had never seen
     inflight_joins: int = 0  # submissions joined to an identical in-flight
     #                          run (set by the sweep service's deduper)
-    shm_errors: int = 0     # shared-memory publish/cleanup failures
     #: kernel bail counts by kind, summed over executed runs — always
     #: carries the full stable key set, even when every count is zero
     bail_kinds: Dict[str, int] = field(
         default_factory=lambda: {name: 0 for name in BAIL_KIND_NAMES})
-    #: the recorded shm failure messages (capped; not part of as_dict)
-    shm_error_messages: List[str] = field(default_factory=list)
-
-    _SHM_ERROR_CAP = 16
 
     def as_dict(self) -> Dict[str, object]:
         """Plain dictionary of the counters (JSON export).
@@ -693,10 +389,7 @@ class RunnerStats:
             "memo_hits": self.memo_hits,
             "parallel_runs": self.parallel_runs,
             "traces_spilled": self.traces_spilled,
-            "shm_segments": self.shm_segments,
-            "shm_attaches": self.shm_attaches,
             "worker_reuse": self.worker_reuse,
-            "file_runs": self.file_runs,
             "file_maps": self.file_maps,
             "bytes_streamed": self.bytes_streamed,
             "peak_rss_kb": self.peak_rss_kb,
@@ -707,11 +400,9 @@ class RunnerStats:
             "timeouts": self.timeouts,
             "run_errors": self.run_errors,
             "degradations": self.degradations,
-            "journal_hits": self.journal_hits,
             "store_hits": self.store_hits,
             "store_misses": self.store_misses,
             "inflight_joins": self.inflight_joins,
-            "shm_errors": self.shm_errors,
             "bail_kinds": {name: self.bail_kinds.get(name, 0)
                            for name in BAIL_KIND_NAMES},
         }
@@ -734,24 +425,6 @@ class RunnerStats:
         if peak > self.peak_rss_kb:
             self.peak_rss_kb = peak
 
-    def note_shm_error(self, message: str) -> None:
-        """Record one shared-memory failure (count + capped message list)."""
-        self.shm_errors += 1
-        if len(self.shm_error_messages) < self._SHM_ERROR_CAP:
-            self.shm_error_messages.append(message)
-
-
-#: Execution lanes of the degradation ladder, safest last.
-LANE_SHM = "shm"
-LANE_NPZ = "npz"
-LANE_INLINE = "inline"
-
-#: Dispatch lane of file-backed (streaming) traces: only the file path
-#: travels; workers mmap and stream.  File-backed runs stay on this lane
-#: through every retry short of inline — spilling them to shm/npz would
-#: materialize the very streams the file format exists to keep on disk.
-LANE_FILE = "file"
-
 
 class SweepRunner:
     """Executes independent (trace, system, config) runs, possibly in parallel.
@@ -772,36 +445,19 @@ class SweepRunner:
     engine:
         Execution engine for all runs (default: the session default, see
         :mod:`repro.engine`).
-    trace_store:
-        On-disk trace store used for parallel dispatch (see
-        :class:`TraceStore`).  The default builds a private store in a
-        temporary directory, used lazily (only when runs are actually
-        dispatched to workers) and removed on :meth:`close`.  Pass a
-        shared store to reuse spilled traces across runners.
-    journal:
-        Checkpoint completed results to this :class:`SweepJournal` (or a
-        path, opened with ``resume=``).  Restored records pre-populate
-        the memo table so a resumed sweep recomputes nothing.
-    resume:
-        When ``journal`` is a path: load existing records instead of
-        truncating the file.
     store:
         A durable content-addressed
         :class:`~repro.experiments.store.ResultStore` (or a path to one,
         opened — and closed — by this runner).  Pending runs consult the
         store before executing (``RunnerStats.store_hits`` /
-        ``store_misses``) and completed runs are upserted into it, so
-        results survive the process: a sweep re-run against the same
-        store in a fresh process executes zero simulations.  When both a
-        resumed journal and a store are configured they are reconciled
-        first — the store wins on key match, journal-only rows are
-        backfilled into the store (see
-        :meth:`~repro.experiments.store.ResultStore.reconcile_journal`).
+        ``store_misses``) and each completed run is upserted as soon as
+        it is harvested, so the store is the sweep's checkpoint: a sweep
+        re-run against the same store — after a crash, a SIGKILL or in a
+        fresh process — executes only the runs it is missing.
     retries:
         Retry budget per run for crash/timeout/error failures (default
-        3, or ``REPRO_RETRIES``).  The final attempts walk the
-        degradation ladder: the second-to-last runs through the npz
-        lane, the last runs inline in the supervising process.
+        3, or ``REPRO_RETRIES``).  Attempts before the last ride the
+        pool; the last runs inline in the supervising process.
         ``retries=0`` degenerates to all-inline execution.
     run_timeout:
         Per-run wall-clock timeout in seconds (default none, or
@@ -813,15 +469,12 @@ class SweepRunner:
         between retry waves (seconds).
 
     Use as a context manager (or call :meth:`close`) to release the worker
-    pool and the private trace store; a runner with ``jobs=1`` holds no
+    pool and the spilled trace files; a runner with ``jobs=1`` holds no
     pool resources.
     """
 
     def __init__(self, jobs: Optional[int] = None, *, memoize: bool = True,
                  engine: Optional[str] = None,
-                 trace_store: Optional[TraceStore] = None,
-                 journal: Optional[Union[str, Path, SweepJournal]] = None,
-                 resume: bool = False,
                  store: Optional[Union[str, Path, ResultStore]] = None,
                  retries: Optional[int] = None,
                  run_timeout: Optional[float] = None,
@@ -831,8 +484,6 @@ class SweepRunner:
         self.engine = engine if engine is not None else default_engine()
         self.memoize = memoize
         self.stats = RunnerStats()
-        self.trace_store = trace_store if trace_store is not None else TraceStore()
-        self._owns_store = trace_store is None
         self.retries = default_retries() if retries is None else max(0, int(retries))
         self.run_timeout = (default_run_timeout() if run_timeout is None
                             else (float(run_timeout) if run_timeout > 0 else None))
@@ -841,39 +492,15 @@ class SweepRunner:
         self._memo: Dict[RunKey, ExperimentResult] = {}
         self._pool: Optional[ProcessPoolExecutor] = None
         self._trace_keys: Dict[int, str] = {}
-        self._shm_pool: Optional[SharedTracePool] = None
-        self._shm_broken = False   # platform refused a segment: stay on npz
-        if journal is None or isinstance(journal, SweepJournal):
-            self.journal = journal
-            self._owns_journal = False
-        else:
-            self.journal = SweepJournal(journal, resume=resume)
-            self._owns_journal = True
+        #: private directory of spilled trace files (created on first spill)
+        self.spill_dir: Optional[Path] = None
+        self._spilled: Dict[str, Path] = {}
         if store is None or isinstance(store, ResultStore):
             self.store = store
             self._owns_result_store = False
         else:
             self.store = ResultStore(store)
             self._owns_result_store = True
-        # keys restored from a resumed journal: their memo hits count as
-        # journal_hits too, so the hit shows up in per-sweep stat deltas
-        # (run_scenario reports the delta across its batch, and the
-        # preload happens before any batch starts)
-        self._journal_keys: Set[RunKey] = set()
-        if self.journal is not None and self.journal.loaded:
-            for key, result in self.journal.loaded.items():
-                self._memo[tuple(key)] = result
-            self._journal_keys = set(self._memo)
-        # a resumed journal and a durable store can disagree after a torn
-        # write: reconcile before the first batch — the store's
-        # checksummed rows win on key match (replacing the journal's
-        # memo preload), journal-only rows are backfilled into the store
-        if self.store is not None and self._journal_keys:
-            self.store.reconcile_journal(self.journal)
-            for key in self._journal_keys:
-                stored = self.store.get(key)
-                if stored is not None:
-                    self._memo[key] = stored
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -884,18 +511,14 @@ class SweepRunner:
         self.close()
 
     def close(self) -> None:
-        """Shut down the worker pool, the shm pool, the store and the journal."""
+        """Shut down the worker pool, remove spilled traces, close the store."""
         if self._pool is not None:
             self._pool.shutdown()
             self._pool = None
-        if self._shm_pool is not None:
-            for message in self._shm_pool.close():
-                self.stats.note_shm_error(message)
-            self._shm_pool = None
-        if self._owns_store:
-            self.trace_store.close()
-        if self.journal is not None and self._owns_journal:
-            self.journal.close()
+        if self.spill_dir is not None:
+            shutil.rmtree(self.spill_dir, ignore_errors=True)
+            self.spill_dir = None
+            self._spilled.clear()
         if self.store is not None and self._owns_result_store:
             self.store.close()
 
@@ -919,7 +542,8 @@ class SweepRunner:
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.jobs)
+            self._pool = ProcessPoolExecutor(max_workers=self.jobs,
+                                             initializer=_watch_parent)
         return self._pool
 
     def _kill_pool(self) -> None:
@@ -937,84 +561,45 @@ class SweepRunner:
         except Exception:  # pragma: no cover - broken executor races
             pass
 
-    def _publish_shm(self, trace: Trace, digest: str) -> Optional[Dict[str, object]]:
-        """Publish ``trace`` to shared memory; None (and record why) on failure."""
-        if self._shm_pool is None:
-            self._shm_pool = SharedTracePool()
-        before = self._shm_pool.segments
-        try:
-            meta = self._shm_pool.ensure(trace, digest)
-        except Exception as exc:
-            self._shm_broken = True
-            self.stats.note_shm_error(
-                f"publish {digest[:12]}: {type(exc).__name__}: {exc}")
-            return None
-        self.stats.shm_segments += self._shm_pool.segments - before
-        return meta
+    def _trace_path(self, trace: Trace, digest: str) -> Path:
+        """The file a worker opens for ``trace``, spilling it on first use.
 
-    def _lane_for(self, attempt: int, prefer_shm: bool) -> str:
-        """Execution lane of the degradation ladder for this attempt."""
-        if attempt >= self.retries:
-            return LANE_INLINE
-        if attempt == self.retries - 1 or not prefer_shm:
-            return LANE_NPZ
-        return LANE_SHM
-
-    def _submit_worker(self, pool: ProcessPoolExecutor, key: RunKey,
-                       trace: Trace, name: str, cfg: SimulationConfig,
-                       lane: str, attempt: int) -> Tuple[Future, str]:
-        """Submit one run to the pool through its lane; returns (future, lane)."""
-        digest = key[0]
+        A :class:`StreamingTrace` is already a file.  An in-memory trace
+        is written once per digest as ``<digest>.rpt`` into
+        :attr:`spill_dir`; the file's footer digest must equal the run
+        key's, or workers would simulate a different trace than the key
+        names.
+        """
         if isinstance(trace, StreamingTrace):
-            # file-backed traces ship as a path string on every
-            # non-inline attempt; shm/npz publication would materialize
-            # the streams this lane exists to keep out of core
-            fut = pool.submit(_execute_file_run, str(trace.path), digest,
-                              name, cfg, self.engine, attempt)
-            self.stats.file_runs += 1
-            return fut, LANE_FILE
-        if lane == LANE_SHM:
-            # one failed publication flips _shm_broken; later submits of
-            # the same wave reroute silently instead of re-recording it
-            meta = (None if self._shm_broken
-                    else self._publish_shm(trace, digest))
-            if meta is not None:
-                fut = pool.submit(_execute_shm_run, meta, digest, name, cfg,
-                                  self.engine, attempt)
-                return fut, LANE_SHM
-            lane = LANE_NPZ   # publication failed: this run rides npz
-            self.stats.degradations += 1
-        spills_before = self.trace_store.spills
-        path = self.trace_store.ensure(trace, digest)
-        self.stats.traces_spilled += self.trace_store.spills - spills_before
-        fut = pool.submit(_execute_stored_run, str(path), digest, name, cfg,
-                          self.engine, attempt)
-        return fut, LANE_NPZ
+            return trace.path
+        path = self._spilled.get(digest)
+        if path is None:
+            if self.spill_dir is None:
+                self.spill_dir = Path(tempfile.mkdtemp(prefix="repro-spill-"))
+            path = write_trace_file(
+                trace, self.spill_dir / f"{digest}{TRACE_FILE_SUFFIX}")
+            written = read_trace_header(path)["digest"]
+            if written != digest:
+                raise TraceFileError(
+                    f"spilled trace {trace.name!r} has footer digest "
+                    f"{written}, but its run key names {digest}")
+            self._spilled[digest] = path
+            self.stats.traces_spilled += 1
+        return path
 
-    def _harvest(self, key: RunKey, payload, lane: str) -> ExperimentResult:
-        """Fold one completed worker payload into stats + journal."""
-        if lane == LANE_SHM:
-            result, attached = payload
-            if attached:
-                self.stats.shm_attaches += 1
-            else:
-                self.stats.worker_reuse += 1
-        elif lane == LANE_FILE:
-            result, opened = payload
-            if opened:
-                self.stats.file_maps += 1
-            else:
-                self.stats.worker_reuse += 1
+    def _harvest(self, key: RunKey, payload) -> ExperimentResult:
+        """Fold one completed worker payload into stats + the store."""
+        result, opened = payload
+        if opened:
+            self.stats.file_maps += 1
         else:
-            result = payload
+            self.stats.worker_reuse += 1
         self.stats.note_profile(result.stats.engine_profile)
-        self._journal_append(key, result)
+        self._checkpoint(key, result)
         return result
 
-    def _journal_append(self, key: RunKey, result: ExperimentResult) -> None:
-        """Checkpoint one completed run to the journal and the store."""
-        if self.journal is not None:
-            self.journal.append(key, result)
+    def _checkpoint(self, key: RunKey, result: ExperimentResult) -> None:
+        """Upsert one completed run into the durable store, if any."""
         if self.store is not None:
             self.store.put(key, result)
 
@@ -1027,7 +612,7 @@ class SweepRunner:
         before a crash are never lost.  Failed runs are classified and
         retried in *waves*: each wave submits everything still missing,
         sleeps a capped exponential backoff first, and walks repeat
-        offenders down the lane ladder (shm → npz → inline).  Worker
+        offenders down the ladder (file lane → inline).  Worker
         crashes break the whole ``ProcessPoolExecutor``; blame is
         assigned to the runs observed executing at the break (or to all
         unharvested runs of the wave when none were observed, which
@@ -1038,7 +623,6 @@ class SweepRunner:
         """
         executed: Dict[RunKey, ExperimentResult] = {}
         attempts: Dict[RunKey, int] = {key: 0 for key in pending}
-        lanes: Dict[RunKey, str] = {}
         todo: Set[RunKey] = set(pending)
         wave = 0
 
@@ -1054,35 +638,26 @@ class SweepRunner:
                 time.sleep(min(self.backoff_cap,
                                self.backoff * (2 ** (wave - 1))))
             wave += 1
-            prefer_shm = (not self._shm_broken
-                          and not os.environ.get(NO_SHM_ENV_VAR))
-            wave_lane: Dict[RunKey, str] = {}
-            for key in todo:
-                lane = self._lane_for(attempts[key], prefer_shm)
-                prev = lanes.get(key)
-                if prev is not None and lane != prev:
-                    self.stats.degradations += 1
-                lanes[key] = lane
-                wave_lane[key] = lane
+            pool_keys = [k for k in todo if attempts[k] < self.retries]
+            inline_keys = [k for k in todo if attempts[k] >= self.retries]
+            self.stats.degradations += sum(1 for k in inline_keys
+                                           if attempts[k] > 0)
 
             futures: Dict[Future, RunKey] = {}
-            fut_lane: Dict[Future, str] = {}
-            pool_keys = [k for k in todo if wave_lane[k] != LANE_INLINE]
-            inline_keys = [k for k in todo if wave_lane[k] == LANE_INLINE]
             if pool_keys:
                 pool = self._ensure_pool()
                 for key in pool_keys:
                     trace, name, cfg = pending[key]
                     try:
-                        fut, lane = self._submit_worker(
-                            pool, key, trace, name, cfg, wave_lane[key],
-                            attempts[key])
+                        fut = pool.submit(
+                            _execute_file_run,
+                            str(self._trace_path(trace, key[0])), key[0],
+                            name, cfg, self.engine, attempts[key])
                     except BrokenExecutor:
                         # pool died mid-submission: the submitted futures
                         # resolve broken below; the rest retry next wave
                         break
                     futures[fut] = key
-                    fut_lane[fut] = lane
                     self.stats.parallel_runs += 1
 
             # the inline lane executes here, in parallel with the pool
@@ -1090,7 +665,7 @@ class SweepRunner:
                 trace, name, cfg = pending[key]
                 result = _execute_run(trace, name, cfg, self.engine)
                 self.stats.note_profile(result.stats.engine_profile)
-                self._journal_append(key, result)
+                self._checkpoint(key, result)
                 executed[key] = result
                 todo.discard(key)
 
@@ -1121,8 +696,7 @@ class SweepRunner:
                         penalize(key, penalized)
                         del exc
                     else:
-                        executed[key] = self._harvest(key, payload,
-                                                      fut_lane[fut])
+                        executed[key] = self._harvest(key, payload)
                         todo.discard(key)
                 if broke:
                     break
@@ -1161,13 +735,13 @@ class SweepRunner:
 
         Cache-missing items are deduplicated and executed — across the
         supervised worker pool when ``jobs > 1`` — and every result lands
-        in the memo table (and the journal, when one is attached).  The
-        returned list is aligned with ``items``.
+        in the memo table (and the durable store, when one is attached).
+        The returned list is aligned with ``items``.
 
         Explicit :class:`SystemSpec` objects (rather than registry names)
         may carry arbitrary protocol factories, so they are executed
         inline and bypass the memo table, the worker pool and the
-        journal — a customised spec can never be conflated with the
+        store — a customised spec can never be conflated with the
         registry system of the same name.
         """
         keyed: List[Tuple[Optional[RunKey], Trace,
@@ -1185,9 +759,6 @@ class SweepRunner:
 
         self.stats.memo_hits += sum(1 for key, *_ in keyed
                                     if key is not None and key in self._memo)
-        self.stats.journal_hits += sum(1 for key, *_ in keyed
-                                       if key is not None
-                                       and key in self._journal_keys)
 
         # consult the durable store before executing anything: hits are
         # pulled into the memo table (so later batches hit the memo
@@ -1212,7 +783,7 @@ class SweepRunner:
                     result = _execute_run(trace, name, cfg, self.engine)
                     self.stats.note_profile(result.stats.engine_profile)
                     self._memo[key] = result
-                    self._journal_append(key, result)
+                    self._checkpoint(key, result)
 
         results = []
         for key, trace, system, cfg in keyed:
@@ -1267,9 +838,9 @@ def ensure_runner(runner: Optional[SweepRunner],
     did not supply one, a private runner is created (with
     ``runner_kwargs`` forwarded to :class:`SweepRunner`) and the caller
     is responsible for closing it (``owned`` is True) — use
-    ``try/finally`` or the runner's context manager so pools, shm
-    segments and the trace store are released even when the harness
-    raises mid-sweep.  Passing both a shared runner *and* runner kwargs
+    ``try/finally`` or the runner's context manager so the pool and the
+    spilled trace files are released even when the harness raises
+    mid-sweep.  Passing both a shared runner *and* runner kwargs
     is a conflict and raises ``ValueError``.
     """
     if runner is not None:

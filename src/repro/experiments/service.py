@@ -4,7 +4,7 @@ The :class:`~repro.experiments.runner.SweepRunner` and the durable
 :class:`~repro.experiments.store.ResultStore` make any *single* process
 cheap to re-run; this module turns them into shared infrastructure — one
 long-running local daemon holding a warm runner (memo table, worker
-pool, shared-memory trace segments) and one store, accepting scenario
+pool, spilled trace files) and one store, accepting scenario
 submissions from any number of concurrent clients:
 
 * **Nothing is computed twice.**  Completed runs live in the store, so
@@ -33,7 +33,7 @@ makes the service transparent: the rows a client receives are
 bit-identical to a direct :func:`~repro.experiments.scenario.
 run_scenario` of the same request.
 
-.. note:: like the journal and the store, the transport embeds pickles;
+.. note:: like the store, the transport embeds pickles;
    the socket is a *local trust boundary* (filesystem permissions), not
    a network API.
 

@@ -4,10 +4,8 @@ The :class:`~repro.experiments.runner.SweepRunner` memoizes results by a
 content-addressed key — ``(trace digest, system, canonical config,
 engine)`` — but its memo table dies with the process.  This module
 promotes that table to a *durable* store: a single SQLite file holding
-one row per completed run, keyed by the exact memo/journal key scheme,
-so the in-process memo, the :class:`~repro.experiments.runner.
-SweepJournal` and the store all interoperate (a key computed for any one
-of them addresses the same run in the others).
+one row per completed run, keyed by the exact memo key scheme, so a key
+computed by the in-process memo addresses the same run in the store.
 
 Each row carries the full pickled :class:`~repro.experiments.runner.
 ExperimentResult` (zlib-compressed, blake2b-checksummed) plus extracted
@@ -25,8 +23,10 @@ every upsert is one atomic transaction, and a schema-version row in the
 A store is wired into sweeps at three levels:
 
 * ``SweepRunner(store=...)`` — cache-missing runs consult the store
-  before executing and publish into it after
-  (``RunnerStats.store_hits`` / ``store_misses``);
+  before executing and publish into it as each run is harvested
+  (``RunnerStats.store_hits`` / ``store_misses``), so the store is the
+  sweep's checkpoint: a killed sweep re-run against it executes only
+  the missing runs;
 * ``run_scenario(store=...)`` / ``repro exp --store PATH`` — the same,
   per scenario, so a sweep re-run in a *fresh process* reports 100%
   store hits;
@@ -52,7 +52,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple, Union
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle (runner imports us)
-    from repro.experiments.runner import ExperimentResult, RunKey, SweepJournal
+    from repro.experiments.runner import ExperimentResult, RunKey
 
 #: Environment variable naming the default store file for the CLI.
 STORE_ENV_VAR = "REPRO_STORE"
@@ -444,35 +444,6 @@ class ResultStore:
                         f"DELETE FROM results WHERE {where}", params)
                 self._conn.execute("VACUUM")
         return victims
-
-    # -- journal reconciliation ----------------------------------------------
-
-    def reconcile_journal(self, journal: "SweepJournal") -> Dict[str, int]:
-        """Reconcile a (possibly torn) :class:`SweepJournal` with the store.
-
-        A journal and a store fed by the same sweep can disagree after
-        a torn write: a run checkpointed to the journal an instant
-        before the process died may never have reached the store (or
-        vice versa).  The resolution is fixed: **the store wins on key
-        match** (its rows are checksummed; the journal's lenient loader
-        may have recovered a stale line), and journal rows the store
-        has never seen are **backfilled** into it, so the store is a
-        superset of every surviving checkpoint afterwards.
-
-        Returns ``{"journal_rows": .., "backfilled": .., "store_wins": ..}``.
-        The journal file itself is not rewritten — it remains an
-        append-only log.
-        """
-        loaded = getattr(journal, "loaded", None) or {}
-        backfilled = store_wins = 0
-        for key, result in loaded.items():
-            if tuple(key) in self:
-                store_wins += 1
-            else:
-                self.put(tuple(key), result)
-                backfilled += 1
-        return {"journal_rows": len(loaded), "backfilled": backfilled,
-                "store_wins": store_wins}
 
     def __repr__(self) -> str:
         return f"ResultStore({str(self.path)!r}, {len(self)} rows)"

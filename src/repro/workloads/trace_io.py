@@ -1,4 +1,4 @@
-"""Saving, loading and sharing workload traces.
+"""Saving and loading workload traces as ``.npz`` archives.
 
 The synthetic trace generators are deterministic given (spec, machine,
 scale, seed), but regenerating large traces for every system in a sweep
@@ -14,23 +14,16 @@ storage format.  Traces are stored as a single ``.npz`` archive:
 Round-tripping preserves the reference streams exactly, so a loaded trace
 produces bit-identical simulation results.
 
-For *parallel sweeps* this module also publishes traces through
-``multiprocessing.shared_memory``: :func:`trace_to_shm` copies the
-streams once into a named segment, and :func:`trace_from_shm` rebuilds a
-zero-copy :class:`~repro.workloads.trace.Trace` whose arrays are views
-into the attached segment — worker processes pay one ``mmap`` per trace
-instead of one npz decompression, and repeated runs of the same trace in
-a warm worker pay nothing at all (see
-:class:`repro.experiments.runner.SweepRunner`).
+Parallel sweeps do not use this format: they ship traces to pool workers
+as mmap-able trace files (:mod:`repro.workloads.tracefile`).
 """
 
 from __future__ import annotations
 
 import json
 import os
-import re
 from pathlib import Path
-from typing import Dict, List, Tuple, Union
+from typing import Dict, List, Union
 
 import numpy as np
 
@@ -138,172 +131,6 @@ def traces_equal(a: Trace, b: Trace) -> bool:
                                   np.asarray(wb).astype(bool)):
                 return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# Shared-memory publication (zero-copy parallel dispatch)
-# ---------------------------------------------------------------------------
-
-
-def trace_to_shm(trace: Trace, name: str) -> Tuple[object, Dict[str, object]]:
-    """Publish ``trace`` in a named shared-memory segment.
-
-    Copies the streams once into a fresh ``multiprocessing.shared_memory``
-    segment called ``name`` — all block arrays first (so every ``int64``
-    view stays 8-byte aligned), then all write-flag arrays as single
-    bytes.  Returns ``(shm, meta)``: the segment (the caller owns its
-    lifetime — ``close()`` and ``unlink()`` it when the last consumer is
-    done) and the small JSON-safe layout description that
-    :func:`trace_from_shm` needs to attach.
-
-    Raises whatever ``SharedMemory`` raises when the platform cannot
-    provide the segment (no ``/dev/shm``, exhausted space, name
-    collision); callers are expected to fall back to the npz path.
-    """
-    from multiprocessing import shared_memory
-
-    total = trace.total_accesses()
-    shm = shared_memory.SharedMemory(name=name, create=True,
-                                     size=max(1, total * 9))
-    buf = shm.buf
-    off = 0
-    phase_meta: List[Dict[str, object]] = []
-    for phase in trace.phases:
-        phase_meta.append({
-            "name": phase.name,
-            "compute_per_access": phase.compute_per_access,
-            "lens": [len(b) for b in phase.blocks],
-        })
-        for blocks in phase.blocks:
-            n = len(blocks)
-            if n:
-                np.frombuffer(buf, dtype=np.int64, count=n,
-                              offset=off)[:] = blocks
-            off += n * 8
-    for phase in trace.phases:
-        for writes in phase.writes:
-            n = len(writes)
-            if n:
-                np.frombuffer(buf, dtype=np.bool_, count=n,
-                              offset=off)[:] = writes
-            off += n
-    meta = {
-        "shm": shm.name,
-        "name": trace.name,
-        "num_procs": trace.num_procs,
-        "phases": phase_meta,
-        "metadata": _jsonable(trace.metadata),
-    }
-    return shm, meta
-
-
-def trace_from_shm(meta: Dict[str, object]) -> Tuple[Trace, object]:
-    """Attach the segment described by ``meta`` and rebuild its trace.
-
-    The returned trace's stream arrays are zero-copy views into the
-    shared segment (:class:`~repro.workloads.trace.PhaseTrace`'s dtype
-    normalisation is a no-op for them).  Returns ``(trace, shm)`` — keep
-    the ``shm`` handle referenced for as long as the trace is in use.
-
-    The attach bypasses ``resource_tracker`` registration: the segment's
-    lifetime belongs to the publishing process (which registered it at
-    creation), and on Python < 3.13 an attaching process would otherwise
-    either unlink it when it exits (spawn: own tracker) or cancel the
-    publisher's registration (fork: shared tracker).
-    """
-    from multiprocessing import resource_tracker, shared_memory
-
-    register = resource_tracker.register
-    try:
-        resource_tracker.register = lambda *args, **kwargs: None
-        shm = shared_memory.SharedMemory(name=str(meta["shm"]))
-    finally:
-        resource_tracker.register = register
-    buf = shm.buf
-    off = 0
-    blocks_by_phase: List[List[np.ndarray]] = []
-    for pm in meta["phases"]:
-        arrs = []
-        for n in pm["lens"]:
-            arrs.append(np.frombuffer(buf, dtype=np.int64, count=n,
-                                      offset=off))
-            off += n * 8
-        blocks_by_phase.append(arrs)
-    phases: List[PhaseTrace] = []
-    for pm, blocks in zip(meta["phases"], blocks_by_phase):
-        writes = []
-        for n in pm["lens"]:
-            writes.append(np.frombuffer(buf, dtype=np.bool_, count=n,
-                                        offset=off))
-            off += n
-        phases.append(PhaseTrace(name=str(pm["name"]),
-                                 compute_per_access=int(
-                                     pm["compute_per_access"]),
-                                 blocks=blocks, writes=writes))
-    trace = Trace(name=str(meta["name"]), num_procs=int(meta["num_procs"]),
-                  phases=phases, metadata=dict(meta.get("metadata") or {}))
-    return trace, shm
-
-
-# ---------------------------------------------------------------------------
-# Orphaned segment reclamation (``repro clean-shm``)
-# ---------------------------------------------------------------------------
-
-
-#: Directory where Linux exposes POSIX shared memory as files.
-SHM_DIR = Path("/dev/shm")
-
-#: Segment names published by SweepRunner: ``repro_<digest16>_<pid>``.
-_SEGMENT_RE = re.compile(r"^repro_[0-9a-f]+_(\d+)$")
-
-
-def _pid_alive(pid: int) -> bool:
-    """True when ``pid`` refers to a live process we can see."""
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:
-        return True   # alive, owned by someone else
-    return True
-
-
-def list_orphan_segments() -> List[Path]:
-    """Shared-memory segments published by repro processes that have died.
-
-    A live :class:`~repro.experiments.runner.SharedTracePool` unlinks its
-    segments on close, but a SIGKILLed or OOM-killed publisher leaves
-    them behind in ``/dev/shm`` — each one pins trace-sized memory until
-    reboot.  Segment names embed the publisher's pid
-    (``repro_<digest>_<pid>``), so orphans are exactly the repro-named
-    segments whose pid no longer exists.  Returns an empty list on
-    platforms without a ``/dev/shm`` filesystem.
-    """
-    if not SHM_DIR.is_dir():
-        return []
-    orphans: List[Path] = []
-    for path in sorted(SHM_DIR.glob("repro_*")):
-        match = _SEGMENT_RE.match(path.name)
-        if match and not _pid_alive(int(match.group(1))):
-            orphans.append(path)
-    return orphans
-
-
-def cleanup_orphan_segments(*, dry_run: bool = False) -> List[str]:
-    """Unlink orphaned repro segments; return the names acted on.
-
-    With ``dry_run`` the orphans are only listed.  Races (a segment
-    vanishing between listing and unlinking) are ignored.
-    """
-    removed: List[str] = []
-    for path in list_orphan_segments():
-        if not dry_run:
-            try:
-                path.unlink()
-            except OSError:
-                continue
-        removed.append(path.name)
-    return removed
 
 
 def _jsonable(value: object) -> object:

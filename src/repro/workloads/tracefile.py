@@ -39,8 +39,8 @@ Digests
 The whole-file digest in the footer is computed with *exactly* the
 scheme of the sweep memo key (:func:`trace_digest`, re-exported by the
 runner), so a :class:`StreamingTrace` plugs into :class:`SweepRunner`
-memoization, journals and resume without hashing a single stream byte —
-the digest rides in the header.  Each chunk additionally carries its own
+memoization and the result store without hashing a single stream byte —
+the digest rides in the footer.  Each chunk additionally carries its own
 short blake2b digest so ``repro trace verify`` can pinpoint corruption.
 """
 
@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import mmap
 import os
 import struct
 from pathlib import Path
@@ -81,9 +82,6 @@ TRACE_FILE_SUFFIX = ".rpt"
 #: reuse.
 DEFAULT_CACHED_PHASES = 8
 
-#: Read-buffer size of the digest/verify scan passes.
-_SCAN_BUFFER = 4 << 20
-
 
 class TraceFileError(ValueError):
     """A trace file is missing, torn, corrupt or of an unsupported version."""
@@ -92,7 +90,7 @@ class TraceFileError(ValueError):
 def trace_digest(trace) -> str:
     """Content digest of a trace (streams, geometry and phase costs).
 
-    This is the canonical scheme behind every sweep memo/journal key
+    This is the canonical scheme behind every sweep memo key
     (:class:`repro.experiments.runner.SweepRunner`) **and** the
     whole-file digest stored in a trace file's footer — the two must
     stay byte-identical so file-backed and in-memory copies of the same
@@ -112,9 +110,8 @@ def trace_digest(trace) -> str:
 
 
 def _chunk_digest(blocks: np.ndarray, writes: np.ndarray) -> str:
-    h = hashlib.blake2b(digest_size=8)
-    h.update(blocks)
-    h.update(writes.view(np.uint8))
+    h = hashlib.blake2b(blocks, digest_size=8)
+    h.update(writes)
     return h.hexdigest()
 
 
@@ -193,33 +190,49 @@ class TraceFileWriter:
         self._check_open()
         if self._cur is None:
             raise TraceFileError("no open phase (call begin_phase first)")
+        self._write_streams([self._stream(proc, blocks, writes)])
+
+    def _stream(self, proc: int, blocks, writes):
+        """Validate one stream; return it as ``(proc, int64, bool)`` arrays."""
         if proc < 0 or (self.num_procs is not None and proc >= self.num_procs):
             raise ValueError(f"processor {proc} out of range")
         blocks = np.ascontiguousarray(blocks, dtype=np.int64)
         writes = np.ascontiguousarray(writes, dtype=np.bool_)
         if blocks.ndim != 1 or writes.shape != blocks.shape:
             raise ValueError("blocks and writes must be equal-length 1-D arrays")
-        self._max_proc = max(self._max_proc, proc)
-        chunks = self._cur["chunks"].setdefault(proc, [])
-        for lo in range(0, len(blocks), self.chunk_refs):
-            b = blocks[lo:lo + self.chunk_refs]
-            w = writes[lo:lo + self.chunk_refs]
-            if not len(b):
-                continue
-            pad = (-self._pos) % 8
-            if pad:
-                self._fh.write(b"\0" * pad)
-                self._pos += pad
-            ob = self._pos
-            self._fh.write(b.data)
-            self._pos += b.nbytes
-            ow = self._pos
-            self._fh.write(w.view(np.uint8).data)
-            self._pos += w.nbytes
-            chunks.append([ob, ow, len(b), _chunk_digest(b, w)])
-        self._cur["lens"][proc] = (self._cur["lens"].get(proc, 0)
-                                   + len(blocks))
-        self.accesses += len(blocks)
+        return proc, blocks, writes
+
+    def _write_streams(self, streams) -> None:
+        """Write validated streams of the open phase as one data region.
+
+        The region holds every stream's block ids back to back (8-byte
+        aligned), then every stream's write flags, so a whole phase is
+        two gathered writes however many processors it has.  Each
+        stream is cut into ``chunk_refs``-sized chunks in the chunk
+        table; the reader locates chunks by offset only.
+        """
+        lens, table = self._cur["lens"], self._cur["chunks"]
+        step = self.chunk_refs
+        pad = (-self._pos) % 8
+        ob = self._pos + pad
+        ow = ob + 8 * sum(len(blocks) for _, blocks, _ in streams)
+        start = ow
+        for proc, blocks, writes in streams:
+            n = len(blocks)
+            lens[proc] = lens.get(proc, 0) + n
+            chunks = table.setdefault(proc, [])
+            for lo in range(0, n, step):
+                b = blocks[lo:lo + step]
+                w = writes[lo:lo + step]
+                chunks.append([ob, ow, len(b), _chunk_digest(b, w)])
+                ob += b.nbytes
+                ow += w.nbytes
+        self._max_proc = max([self._max_proc] + [p for p, _, _ in streams])
+        self.accesses += ow - start
+        self._fh.write(b"\0" * pad)
+        self._fh.writelines([blocks for _, blocks, _ in streams])
+        self._fh.writelines([writes for _, _, writes in streams])
+        self._pos = ow
 
     def end_phase(self) -> None:
         """Seal the open phase."""
@@ -232,9 +245,9 @@ class TraceFileWriter:
     def add_phase(self, phase: PhaseTrace) -> None:
         """Write one complete :class:`PhaseTrace` as a phase."""
         self.begin_phase(phase.name, phase.compute_per_access)
-        for proc, (blocks, writes) in enumerate(zip(phase.blocks,
-                                                    phase.writes)):
-            self.append(proc, blocks, writes)
+        self._write_streams([self._stream(proc, blocks, writes)
+                             for proc, (blocks, writes)
+                             in enumerate(zip(phase.blocks, phase.writes))])
         self.end_phase()
 
     # -- finalize -----------------------------------------------------------
@@ -263,37 +276,28 @@ class TraceFileWriter:
 
     def _finalize_digest(self, records: List[Dict[str, object]],
                          num_procs: int) -> str:
-        """Whole-file digest via one bounded re-read pass over the chunks.
+        """Whole-file digest via one re-read pass over the chunks.
 
         Replays :func:`trace_digest` exactly — per stream a ``#len``
         frame, then all block bytes, then the write flags as ``int8`` —
-        reading the just-written chunks back in digest order so the
-        writer never has to buffer a whole stream.
+        reading the just-written chunks back in digest order through one
+        read-only mapping, so the writer never has to buffer a whole
+        stream.
         """
         self._fh.flush()
         h = hashlib.blake2b(digest_size=16)
         h.update(f"{self.name}|{num_procs}|{len(records)}".encode())
-        with open(self._tmp, "rb") as rd:
-            def feed(offset: int, length: int) -> None:
-                rd.seek(offset)
-                remaining = length
-                while remaining:
-                    data = rd.read(min(_SCAN_BUFFER, remaining))
-                    if not data:
-                        raise TraceFileError(
-                            f"{self._tmp}: short read while digesting")
-                    h.update(data)
-                    remaining -= len(data)
-
+        with open(self._tmp, "rb") as rd, \
+                mmap.mmap(rd.fileno(), 0, access=mmap.ACCESS_READ) as mm:
             for rec in records:
                 h.update(f"|{rec['name']}|{rec['compute_per_access']}"
                          .encode())
                 for chunks, n in zip(rec["streams"], rec["lens"]):
                     h.update(f"#{n}".encode())
                     for ob, _ow, cn, _d in chunks:
-                        feed(ob, cn * 8)
+                        h.update(mm[ob:ob + cn * 8])
                     for _ob, ow, cn, _d in chunks:
-                        feed(ow, cn)
+                        h.update(mm[ow:ow + cn])
         return h.hexdigest()
 
     def close(self) -> Path:
@@ -315,7 +319,7 @@ class TraceFileWriter:
             "accesses": self.accesses,
             "phases": records,
         }
-        payload = json.dumps(footer).encode("utf-8")
+        payload = json.dumps(footer, separators=(",", ":")).encode("utf-8")
         footer_off = self._pos
         self._fh.write(payload)
         self._fh.seek(16)

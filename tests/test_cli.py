@@ -277,30 +277,7 @@ class TestExpCommand:
 
 
 class TestRobustnessCli:
-    """--journal/--resume/--retries/--run-timeout and clean-shm."""
-
-    def test_exp_journal_then_resume_recomputes_nothing(self, capsys,
-                                                        tmp_path):
-        journal = tmp_path / "sweep.jsonl"
-        first_json = tmp_path / "first.json"
-        second_json = tmp_path / "second.json"
-        assert main(["exp", "figure5", "--apps", "lu", "--scale", "0.05",
-                     "--journal", str(journal),
-                     "--json", str(first_json)]) == 0
-        assert journal.exists()
-        assert main(["exp", "figure5", "--apps", "lu", "--scale", "0.05",
-                     "--journal", str(journal), "--resume",
-                     "--json", str(second_json)]) == 0
-        capsys.readouterr()
-        first = json.loads(first_json.read_text())
-        second = json.loads(second_json.read_text())
-        assert second["rows"] == first["rows"]
-        assert second["runner"]["runs"] == 0
-        assert second["runner"]["journal_hits"] > 0
-
-    def test_exp_resume_requires_journal(self, capsys):
-        assert main(["exp", "figure5", "--resume"]) == 2
-        assert "--journal" in capsys.readouterr().err
+    """--retries/--run-timeout reach the runner."""
 
     def test_exp_retry_and_timeout_flags_reach_the_runner(self):
         parser = build_parser()
@@ -313,31 +290,6 @@ class TestRobustnessCli:
             assert runner.run_timeout == 2.5
         finally:
             runner.close()
-
-    def test_clean_shm_dry_run(self, capsys):
-        assert main(["clean-shm", "--dry-run"]) == 0
-        assert "would remove" in capsys.readouterr().out
-
-    def test_clean_shm_removes_orphan(self, capsys):
-        import subprocess
-        from multiprocessing import resource_tracker, shared_memory
-
-        proc = subprocess.Popen(["sleep", "0"])
-        proc.wait()
-        name = f"repro_{'cd' * 8}_{proc.pid}"
-        shm = shared_memory.SharedMemory(name=name, create=True, size=32)
-        shm.close()
-        resource_tracker.unregister(shm._name, "shared_memory")
-        try:
-            assert main(["clean-shm"]) == 0
-            assert name in capsys.readouterr().out
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
-        finally:
-            try:
-                shared_memory.SharedMemory(name=name).unlink()
-            except FileNotFoundError:
-                pass
 
 
 class TestStoreCli:

@@ -3,25 +3,21 @@
 These tests drive :mod:`repro.experiments.faults` against the
 supervised :class:`~repro.experiments.runner.SweepRunner` to prove the
 robustness invariant: a parallel sweep whose workers crash, hang or
-raise still completes with results bit-identical to a fault-free run,
-and a killed sweep resumes from its journal without recomputing
-anything.
+raise still completes with results bit-identical to a fault-free run.
+Checkpointing through the result store under the same faults is
+covered in ``test_result_store.py``.
 """
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
 from repro.config import base_config
 from repro.experiments.faults import FaultPlan, InjectedFault
 from repro.experiments.runner import (
-    SweepJournal,
     SweepRunner,
     default_retries,
     default_run_timeout,
-    ensure_runner,
 )
 from repro.experiments.scenario import run_scenario
 from repro.workloads import get_workload
@@ -176,98 +172,3 @@ class TestSupervisedRecovery:
                                        for s in SYSTEMS[:2]])
             assert runner.stats.parallel_runs == 0
         _assert_bit_identical(results, clean_results[:2])
-
-
-class TestSweepJournal:
-    def test_resume_recomputes_nothing(self, cfg, lu_trace, clean_results,
-                                       tmp_path):
-        journal = tmp_path / "sweep.jsonl"
-        items = [(lu_trace, s, cfg) for s in SYSTEMS]
-        with SweepRunner(jobs=1, journal=journal) as first:
-            first.map_runs(items)
-            assert first.stats.runs == len(SYSTEMS)
-        with SweepRunner(jobs=1, journal=journal, resume=True) as second:
-            results = second.map_runs(items)
-            assert second.stats.runs == 0
-            assert second.stats.journal_hits == len(SYSTEMS)
-        _assert_bit_identical(results, clean_results)
-
-    def test_partial_journal_resumes_the_rest(self, cfg, lu_trace, tmp_path):
-        journal = tmp_path / "sweep.jsonl"
-        with SweepRunner(jobs=1, journal=journal) as first:
-            first.map_runs([(lu_trace, s, cfg) for s in SYSTEMS[:2]])
-        with SweepRunner(jobs=1, journal=journal, resume=True) as second:
-            second.map_runs([(lu_trace, s, cfg) for s in SYSTEMS])
-            assert second.stats.journal_hits == 2
-            assert second.stats.runs == len(SYSTEMS) - 2
-
-    def test_torn_tail_record_is_skipped(self, cfg, lu_trace, tmp_path):
-        journal = tmp_path / "sweep.jsonl"
-        with SweepRunner(jobs=1, journal=journal) as first:
-            first.map_runs([(lu_trace, s, cfg) for s in SYSTEMS[:2]])
-        intact = journal.read_text().splitlines()
-        journal.write_text("\n".join(intact[:1] + [intact[1][: len(intact[1]) // 2]]) + "\n")
-        loaded = SweepJournal(journal, resume=True).loaded
-        assert len(loaded) == 1
-
-    def test_torn_tail_is_healed_on_append(self, cfg, lu_trace, tmp_path):
-        journal = tmp_path / "sweep.jsonl"
-        with SweepRunner(jobs=1, journal=journal) as first:
-            first.map_runs([(lu_trace, s, cfg) for s in SYSTEMS[:2]])
-        lines = journal.read_text().splitlines()
-        # a SIGKILL mid-write: half a record, no trailing newline
-        journal.write_text(lines[0] + "\n" + lines[1][: len(lines[1]) // 2])
-        with SweepRunner(jobs=1, journal=journal, resume=True) as second:
-            second.map_runs([(lu_trace, s, cfg) for s in SYSTEMS])
-            assert second.stats.journal_hits == 1
-            assert second.stats.runs == len(SYSTEMS) - 1
-        # append healed the tail first, so the torn fragment stays on its
-        # own line and every checkpoint written after it parses cleanly
-        loaded = SweepJournal(journal, resume=True).loaded
-        assert len(loaded) == len(SYSTEMS)
-
-    def test_garbage_lines_are_skipped(self, tmp_path):
-        journal = tmp_path / "sweep.jsonl"
-        journal.write_text("not json\n"
-                           + json.dumps({"v": 1, "key": ["a", "b", "c", "d"],
-                                         "result": "AAAA"}) + "\n")
-        assert SweepJournal(journal, resume=True).loaded == {}
-
-    def test_without_resume_truncates(self, cfg, lu_trace, tmp_path):
-        journal = tmp_path / "sweep.jsonl"
-        with SweepRunner(jobs=1, journal=journal) as first:
-            first.map_runs([(lu_trace, "perfect", cfg)])
-        with SweepRunner(jobs=1, journal=journal) as second:
-            second.map_runs([(lu_trace, "perfect", cfg)])
-            assert second.stats.journal_hits == 0
-            assert second.stats.runs == 1
-
-    def test_journaling_survives_crashing_workers(self, cfg, lu_trace,
-                                                  clean_results, tmp_path,
-                                                  monkeypatch):
-        journal = tmp_path / "sweep.jsonl"
-        monkeypatch.setenv("REPRO_FAULTS", "crash=1.0")
-        with SweepRunner(jobs=2, journal=journal, backoff=0.01) as first:
-            first.map_runs([(lu_trace, s, cfg) for s in SYSTEMS])
-        monkeypatch.delenv("REPRO_FAULTS")
-        with SweepRunner(jobs=1, journal=journal, resume=True) as second:
-            results = second.map_runs([(lu_trace, s, cfg) for s in SYSTEMS])
-            assert second.stats.runs == 0
-        _assert_bit_identical(results, clean_results)
-
-    def test_run_scenario_journal_round_trip(self, tmp_path):
-        journal = tmp_path / "scenario.jsonl"
-        first = run_scenario("figure5", apps=["lu"], scale=0.05,
-                             journal=journal)
-        second = run_scenario("figure5", apps=["lu"], scale=0.05,
-                              journal=journal, resume=True)
-        assert second.rows == first.rows
-        assert second.runner_stats["runs"] == 0
-        assert second.runner_stats["journal_hits"] > 0
-
-    def test_ensure_runner_rejects_conflicting_kwargs(self, tmp_path):
-        with SweepRunner() as mine:
-            with pytest.raises(ValueError):
-                ensure_runner(mine, journal=tmp_path / "j.jsonl")
-            same, owned = ensure_runner(mine, journal=None, resume=False)
-            assert same is mine and not owned

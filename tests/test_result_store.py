@@ -3,8 +3,8 @@
 Covers the property that makes the store trustworthy — arbitrary
 results survive a store/load round trip bit-identically — plus key
 separation, the v1 -> v2 schema migration, corruption self-healing,
-garbage collection, export, journal reconciliation (including a torn
-journal tail) and concurrent multi-connection access (WAL mode).
+garbage collection, export, concurrent multi-connection access (WAL
+mode) and the store as the sweep's checkpoint.
 """
 
 from __future__ import annotations
@@ -20,11 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import base_config
-from repro.experiments.runner import (
-    ExperimentResult,
-    SweepJournal,
-    SweepRunner,
-)
+from repro.experiments.runner import ExperimentResult, SweepRunner
 from repro.experiments.store import (
     SCHEMA_VERSION,
     ResultStore,
@@ -345,86 +341,6 @@ class TestInspection:
 
 
 # ---------------------------------------------------------------------------
-# journal reconciliation
-# ---------------------------------------------------------------------------
-
-
-class TestJournalReconciliation:
-    def _journal_with(self, path, entries):
-        journal = SweepJournal(path)
-        for key, result in entries:
-            journal.append(key, result)
-        journal.close()
-
-    def test_store_wins_on_key_match(self, store, tmp_path):
-        jpath = tmp_path / "sweep.jsonl"
-        stale = make_result(execution_time=1)
-        fresh = make_result(execution_time=2)
-        self._journal_with(jpath, [(make_key(), stale)])
-        store.put(make_key(), fresh)
-        journal = SweepJournal(jpath, resume=True)
-        report = store.reconcile_journal(journal)
-        journal.close()
-        assert report == {"journal_rows": 1, "backfilled": 0,
-                          "store_wins": 1}
-        assert store.get(make_key()).stats.execution_time == 2
-
-    def test_journal_only_rows_are_backfilled(self, store, tmp_path):
-        jpath = tmp_path / "sweep.jsonl"
-        only = make_result(execution_time=9)
-        self._journal_with(jpath, [(make_key(), only)])
-        journal = SweepJournal(jpath, resume=True)
-        report = store.reconcile_journal(journal)
-        journal.close()
-        assert report["backfilled"] == 1
-        assert store.get(make_key()) == only
-
-    def test_torn_journal_tail_reconciles(self, store, tmp_path):
-        """Regression: a journal torn mid-record must not poison the store.
-
-        The torn trailing record is dropped by the journal's lenient
-        loader; every intact record before it is backfilled.
-        """
-        jpath = tmp_path / "sweep.jsonl"
-        self._journal_with(jpath, [
-            (make_key(config="cfg0"), make_result(execution_time=1)),
-            (make_key(config="cfg1"), make_result(execution_time=2)),
-        ])
-        # tear the file mid-way through the second record
-        data = jpath.read_bytes()
-        first_line_end = data.index(b"\n") + 1
-        jpath.write_bytes(data[:first_line_end + 40])
-        journal = SweepJournal(jpath, resume=True)
-        report = store.reconcile_journal(journal)
-        journal.close()
-        assert report["journal_rows"] == 1
-        assert report["backfilled"] == 1
-        assert store.get(make_key(config="cfg0")) is not None
-        assert store.get(make_key(config="cfg1")) is None
-
-    def test_runner_reconciles_on_resume(self, tmp_path):
-        """SweepRunner(journal=..., resume=True, store=...) backfills."""
-        cfg = base_config(seed=0)
-        trace = get_workload("lu", machine=cfg.machine, scale=0.05, seed=0)
-        jpath = tmp_path / "sweep.jsonl"
-        spath = tmp_path / "results.sqlite"
-        with SweepRunner(journal=jpath) as runner:
-            runner.run(trace, "ccnuma", cfg)
-        # resume the journal with a store that has never seen the run
-        with SweepRunner(journal=jpath, resume=True, store=spath) as runner:
-            result = runner.run(trace, "ccnuma", cfg)
-            assert runner.stats.runs == 0
-            assert runner.stats.journal_hits == 1
-        with ResultStore(spath) as store:
-            assert len(store) == 1
-            (key,) = store.keys()
-            # MessageStats objects compare by identity, so assert the
-            # round trip on the serialized form
-            assert pickle.dumps(store.get(key), protocol=4) == pickle.dumps(
-                result, protocol=4)
-
-
-# ---------------------------------------------------------------------------
 # concurrency (WAL mode)
 # ---------------------------------------------------------------------------
 
@@ -495,3 +411,41 @@ class TestRunnerIntegration:
         direct = run_scenario("figure5", apps=["lu"], scale=0.05)
         assert pickle.dumps(second.rows, protocol=4) == pickle.dumps(
             direct.rows, protocol=4)
+
+    def test_partial_checkpoint_resumes_the_rest(self, tmp_path):
+        """A sweep cut short re-runs only the runs its store is missing."""
+        cfg = base_config(seed=0)
+        trace = get_workload("lu", machine=cfg.machine, scale=0.05, seed=0)
+        systems = ("perfect", "ccnuma", "migrep", "rnuma")
+        spath = tmp_path / "results.sqlite"
+        with SweepRunner(jobs=1, store=spath) as first:
+            first.map_runs([(trace, s, cfg) for s in systems[:2]])
+        with SweepRunner(jobs=1, store=spath) as second:
+            resumed = second.map_runs([(trace, s, cfg) for s in systems])
+            assert second.stats.store_hits == 2
+            assert second.stats.runs == len(systems) - 2
+        with SweepRunner(jobs=1) as direct:
+            want = direct.map_runs([(trace, s, cfg) for s in systems])
+        for got, ref in zip(resumed, want):
+            assert got.summary() == ref.summary()
+            assert got.stats.stall_breakdown == ref.stats.stall_breakdown
+
+    def test_checkpoints_survive_crashing_workers(self, tmp_path,
+                                                  monkeypatch):
+        """Runs harvested around worker crashes all land in the store."""
+        cfg = base_config(seed=0)
+        trace = get_workload("lu", machine=cfg.machine, scale=0.05, seed=0)
+        systems = ("perfect", "ccnuma", "migrep", "rnuma")
+        items = [(trace, s, cfg) for s in systems]
+        spath = tmp_path / "results.sqlite"
+        monkeypatch.setenv("REPRO_FAULTS", "crash=1.0")
+        with SweepRunner(jobs=2, store=spath, backoff=0.01) as first:
+            crashed = first.map_runs(items)
+            assert first.stats.crashes >= 1
+        monkeypatch.delenv("REPRO_FAULTS")
+        with SweepRunner(jobs=1, store=spath) as second:
+            replayed = second.map_runs(items)
+            assert second.stats.runs == 0
+            assert second.stats.store_hits == len(systems)
+        assert pickle.dumps(replayed, protocol=4) == pickle.dumps(
+            crashed, protocol=4)

@@ -1,4 +1,4 @@
-"""Tests for the parallel, memoizing SweepRunner and its trace store."""
+"""Tests for the parallel, memoizing SweepRunner and its file lane."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ from repro.core.factory import SystemSpec
 from repro.experiments.figure5 import run_figure5
 from repro.experiments.runner import (
     SweepRunner,
-    TraceStore,
     _trace_digest,
     default_jobs,
     ensure_runner,
@@ -20,7 +19,7 @@ from repro.experiments.runner import (
 from repro.registry import SYSTEMS, register_system
 from repro.workloads import get_workload
 from repro.workloads.trace import PhaseTrace, Trace
-from repro.workloads.trace_io import load_trace, traces_equal
+from repro.workloads.trace_io import traces_equal
 
 from test_engine_equivalence import require_c
 
@@ -111,58 +110,8 @@ class TestTraceDigest:
         assert _trace_digest(a) == _trace_digest(b)
 
 
-class TestTraceStore:
-    def test_round_trip_is_bit_identical(self, cfg, ocean_trace, tmp_path):
-        store = TraceStore(tmp_path)
-        digest = _trace_digest(ocean_trace)
-        path = store.ensure(ocean_trace, digest)
-        loaded = load_trace(path)
-        assert traces_equal(ocean_trace, loaded)
-        assert _trace_digest(loaded) == digest
-        # the loaded trace simulates to the exact same results
-        direct = run_experiment(ocean_trace, "ccnuma", cfg)
-        from_store = run_experiment(loaded, "ccnuma", cfg)
-        assert from_store.summary() == direct.summary()
-        assert from_store.stats.stall_breakdown == direct.stats.stall_breakdown
-
-    def test_ensure_spills_once(self, ocean_trace, tmp_path):
-        store = TraceStore(tmp_path)
-        digest = _trace_digest(ocean_trace)
-        path = store.ensure(ocean_trace, digest)
-        mtime = path.stat().st_mtime_ns
-        assert store.ensure(ocean_trace, digest) == path
-        assert path.stat().st_mtime_ns == mtime
-        assert store.spills == 1
-
-    def test_preexisting_archive_is_not_a_spill(self, ocean_trace, tmp_path):
-        digest = _trace_digest(ocean_trace)
-        TraceStore(tmp_path).ensure(ocean_trace, digest)
-        # a fresh store over the same root finds the archive on disk
-        fresh = TraceStore(tmp_path)
-        fresh.ensure(ocean_trace, digest)
-        assert fresh.spills == 0
-
-    def test_private_store_removed_on_close(self):
-        store = TraceStore()
-        root = store.root
-        assert root.exists()
-        store.close()
-        assert not root.exists()
-
-    def test_explicit_root_survives_close(self, ocean_trace, tmp_path):
-        store = TraceStore(tmp_path)
-        path = store.ensure(ocean_trace, _trace_digest(ocean_trace))
-        store.close()
-        assert path.exists()
-
-
 class TestZeroCopyDispatch:
-    @pytest.fixture(autouse=True)
-    def _npz_fallback(self, monkeypatch):
-        """These tests cover the on-disk npz path (the shared-memory
-        pool, which normally takes precedence, is exercised by
-        TestSharedMemoryDispatch)."""
-        monkeypatch.setenv("REPRO_NO_SHM", "1")
+    """Pooled runs ship a trace-file path; in-memory traces spill once."""
 
     def test_parallel_dispatch_spills_each_trace_once(self, cfg, ocean_trace):
         other = get_workload("ocean", machine=cfg.machine, scale=0.05, seed=1)
@@ -171,217 +120,230 @@ class TestZeroCopyDispatch:
                  for system in ("perfect", "ccnuma", "rnuma")]
         with SweepRunner(jobs=2) as runner:
             par = runner.map_runs(items)
-            # two distinct traces -> exactly two archives, six runs
+            # two distinct traces -> exactly two trace files, six runs
             assert runner.stats.parallel_runs == 6
             assert runner.stats.traces_spilled == 2
-            archives = list(runner.trace_store.root.glob("*.npz"))
-            assert len(archives) == 2
-        with SweepRunner(jobs=1) as runner:
-            ser = runner.map_runs(items)
-        for a, b in zip(par, ser):
-            assert a.summary() == b.summary()
-            assert a.stats.stall_breakdown == b.stats.stall_breakdown
-
-    def test_shared_store_reused_across_runners(self, cfg, ocean_trace,
-                                                tmp_path):
-        store = TraceStore(tmp_path)
-        items = [(ocean_trace, system, cfg)
-                 for system in ("perfect", "ccnuma")]
-        with SweepRunner(jobs=2, trace_store=store) as first:
-            first.map_runs(items)
-            assert first.stats.traces_spilled == 1
-        with SweepRunner(jobs=2, trace_store=store) as second:
-            res = second.map_runs([(ocean_trace, s, cfg)
-                                   for s in ("migrep", "rnuma")])
-            # the archive already exists on disk: nothing is re-written
-            assert len(list(store.root.glob("*.npz"))) == 1
-        assert len(res) == 2
-
-
-class TestSharedMemoryDispatch:
-    """Warm shared-memory workers: publication, attach reuse, fallback."""
-
-    def test_trace_shm_round_trip(self, cfg, ocean_trace):
-        import os
-
-        from repro.workloads.trace_io import (trace_from_shm, trace_to_shm,
-                                              traces_equal)
-
-        shm, meta = trace_to_shm(ocean_trace, f"repro-test-{os.getpid()}")
-        try:
-            loaded, handle = trace_from_shm(meta)
-            assert traces_equal(ocean_trace, loaded)
-            # zero-copy: the loaded arrays view the shared segment
-            assert loaded.phases[0].blocks[0].base is not None
-            del loaded, handle
-        finally:
-            shm.close()
-            shm.unlink()
-
-    def test_parallel_dispatch_publishes_each_trace_once(self, cfg,
-                                                         ocean_trace):
-        other = get_workload("ocean", machine=cfg.machine, scale=0.05, seed=1)
-        items = [(trace, system, cfg)
-                 for trace in (ocean_trace, other)
-                 for system in ("perfect", "ccnuma", "rnuma")]
-        with SweepRunner(jobs=2) as runner:
-            par = runner.map_runs(items)
-            assert runner.stats.parallel_runs == 6
-            assert runner.stats.shm_segments == 2
-            assert runner.stats.traces_spilled == 0      # no npz needed
-            # every parallel run either attached or reused a warm trace
-            assert (runner.stats.shm_attaches
+            spilled = sorted(runner.spill_dir.iterdir())
+            assert [p.name for p in spilled] == sorted(
+                f"{_trace_digest(t)}.rpt" for t in (ocean_trace, other))
+            # every parallel run either opened its file or reused it warm
+            assert (runner.stats.file_maps
                     + runner.stats.worker_reuse) == 6
-            assert runner.stats.shm_attaches >= 2
+            assert runner.stats.file_maps >= 2
+            # a later batch over the same traces spills nothing new
+            runner.map_runs([(trace, "migrep", cfg)
+                             for trace in (ocean_trace, other)])
+            assert runner.stats.traces_spilled == 2
         with SweepRunner(jobs=1) as runner:
             ser = runner.map_runs(items)
         for a, b in zip(par, ser):
             assert a.summary() == b.summary()
             assert a.stats.stall_breakdown == b.stats.stall_breakdown
 
-    def test_no_shm_env_falls_back_to_npz(self, cfg, ocean_trace,
-                                          monkeypatch):
-        monkeypatch.setenv("REPRO_NO_SHM", "1")
-        items = [(ocean_trace, system, cfg)
-                 for system in ("perfect", "ccnuma")]
-        with SweepRunner(jobs=2) as runner:
-            runner.map_runs(items)
-            assert runner.stats.shm_segments == 0
-            assert runner.stats.traces_spilled == 1
-
-    def test_segments_unlinked_on_close(self, cfg, ocean_trace):
-        from multiprocessing import shared_memory
+    def test_spilled_file_round_trips_bit_identically(self, cfg, ocean_trace):
+        from repro.workloads.tracefile import open_trace
 
         with SweepRunner(jobs=2) as runner:
             runner.map_runs([(ocean_trace, s, cfg)
                              for s in ("perfect", "ccnuma")])
-            pool = runner._shm_pool
-            assert pool is not None and pool.segments == 1
-            names = [shm.name for shm, _ in pool._segments.values()]
-        for name in names:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
+            (path,) = runner.spill_dir.iterdir()
+            streamed = open_trace(path)
+            assert streamed.digest == _trace_digest(ocean_trace)
+            assert traces_equal(streamed.materialize(), ocean_trace)
 
-
-class TestShmFailureRecovery:
-    """shm failures are recorded, degrade to npz, and stay bit-identical."""
-
-    def test_publish_failure_flips_to_npz_and_records(self, cfg, ocean_trace,
-                                                      monkeypatch):
-        import repro.experiments.runner as runner_mod
-
-        def broken(trace, name):
-            raise OSError("no space left on /dev/shm")
-
-        monkeypatch.setattr(runner_mod, "trace_to_shm", broken)
-        items = [(ocean_trace, system, cfg)
-                 for system in ("perfect", "ccnuma", "rnuma")]
-        with SweepRunner(jobs=2, backoff=0.01) as runner:
-            par = runner.map_runs(items)
-            assert runner._shm_broken
-            assert runner.stats.shm_errors >= 1
-            assert any("no space left" in msg
-                       for msg in runner.stats.shm_error_messages)
-            assert runner.stats.shm_segments == 0
-            assert runner.stats.traces_spilled == 1
-            assert runner.stats.degradations >= 1
-        with SweepRunner(jobs=1) as serial:
-            ser = serial.map_runs(items)
-        for a, b in zip(par, ser):
-            assert a.summary() == b.summary()
-
-    def test_mid_sweep_flip_keeps_earlier_segments_working(self, cfg,
-                                                           ocean_trace,
-                                                           monkeypatch):
-        """A publish failure on the second trace must not disturb runs
-        already riding the first trace's healthy segment; everything
-        after the flip stays on npz (so both traces may spill)."""
-        import repro.experiments.runner as runner_mod
-
-        other = get_workload("ocean", machine=cfg.machine, scale=0.05, seed=1)
-        real = runner_mod.trace_to_shm
-        first_digest = _trace_digest(ocean_trace)
-
-        def flaky(trace, name):
-            if _trace_digest(trace) != first_digest:
-                raise OSError("segment quota exhausted")
-            return real(trace, name)
-
-        monkeypatch.setattr(runner_mod, "trace_to_shm", flaky)
-        first = [(ocean_trace, system, cfg)
-                 for system in ("perfect", "ccnuma")]
-        second = [(other, system, cfg) for system in ("perfect", "ccnuma")]
-        with SweepRunner(jobs=2, backoff=0.01) as runner:
-            par = runner.map_runs(first)
-            assert runner.stats.shm_segments == 1
-            assert runner.stats.shm_errors == 0
-            par += runner.map_runs(second)
-            assert runner.stats.shm_errors == 1
-            assert runner.stats.shm_segments == 1
-            assert runner.stats.traces_spilled == 1
-            assert runner._shm_broken
-        with SweepRunner(jobs=1) as serial:
-            ser = serial.map_runs(first + second)
-        for a, b in zip(par, ser):
-            assert a.summary() == b.summary()
-
-    def test_close_surfaces_unlink_races(self, cfg, ocean_trace):
+    def test_spill_dir_removed_on_close(self, cfg, ocean_trace):
         runner = SweepRunner(jobs=2)
         try:
             runner.map_runs([(ocean_trace, s, cfg)
                              for s in ("perfect", "ccnuma")])
-            pool = runner._shm_pool
-            assert pool is not None and pool.segments == 1
-            # simulate another process unlinking the segment first
-            for shm, _ in pool._segments.values():
-                shm.unlink()
+            spill_dir = runner.spill_dir
+            assert spill_dir is not None and spill_dir.is_dir()
         finally:
             runner.close()
-        assert runner.stats.shm_errors == 1
-        assert runner.stats.shm_error_messages
+        assert not spill_dir.exists()
+        assert runner.spill_dir is None
 
-    def test_orphan_segment_reclamation(self, cfg, ocean_trace):
-        import subprocess
+    def test_spill_honours_tmpdir(self, cfg, ocean_trace, tmp_path,
+                                  monkeypatch):
+        import tempfile
 
-        from multiprocessing import resource_tracker, shared_memory
-
-        from repro.workloads.trace_io import (cleanup_orphan_segments,
-                                              list_orphan_segments)
-
-        proc = subprocess.Popen(["sleep", "0"])
-        proc.wait()
-        dead_pid = proc.pid
-        name = f"repro_{'ab' * 8}_{dead_pid}"
-        shm = shared_memory.SharedMemory(name=name, create=True, size=64)
-        shm.close()
-        # this test plays the dead publisher, so nothing should try to
-        # clean the segment up at interpreter exit
-        resource_tracker.unregister(shm._name, "shared_memory")
-        try:
-            assert any(p.name == name for p in list_orphan_segments())
-            listed = cleanup_orphan_segments(dry_run=True)
-            assert name in listed
-            assert any(p.name == name for p in list_orphan_segments())
-            removed = cleanup_orphan_segments()
-            assert name in removed
-            assert not any(p.name == name for p in list_orphan_segments())
-        finally:
-            try:
-                shared_memory.SharedMemory(name=name).unlink()
-            except FileNotFoundError:
-                pass
-
-    def test_live_segments_are_not_orphans(self, cfg, ocean_trace):
-        from repro.workloads.trace_io import list_orphan_segments
-
+        monkeypatch.setenv("TMPDIR", str(tmp_path))
+        monkeypatch.setattr(tempfile, "tempdir", None)
         with SweepRunner(jobs=2) as runner:
             runner.map_runs([(ocean_trace, s, cfg)
                              for s in ("perfect", "ccnuma")])
-            pool = runner._shm_pool
-            assert pool is not None and pool.segments == 1
-            live = {shm.name for shm, _ in pool._segments.values()}
-            orphans = {p.name for p in list_orphan_segments()}
-            assert not (live & orphans)
+            assert runner.spill_dir.parent == tmp_path
+        assert list(tmp_path.iterdir()) == []
+
+    def test_serial_runner_never_spills(self, cfg, ocean_trace):
+        with SweepRunner(jobs=1) as runner:
+            runner.map_runs([(ocean_trace, s, cfg)
+                             for s in ("perfect", "ccnuma")])
+            assert runner.stats.traces_spilled == 0
+            assert runner.spill_dir is None
+
+    def test_footer_digest_mismatch_raises(self, cfg, ocean_trace,
+                                           monkeypatch):
+        import repro.experiments.runner as runner_mod
+        from repro.workloads.tracefile import TraceFileError
+
+        real = runner_mod.read_trace_header
+
+        def forged(path):
+            header = real(path)
+            header["digest"] = "0" * 32
+            return header
+
+        monkeypatch.setattr(runner_mod, "read_trace_header", forged)
+        with SweepRunner(jobs=2) as runner:
+            with pytest.raises(TraceFileError, match="footer digest"):
+                runner.map_runs([(ocean_trace, s, cfg)
+                                 for s in ("perfect", "ccnuma")])
+
+
+def _subprocess_env(**extra):
+    """Environment for a child interpreter that imports this checkout."""
+    import os
+    from pathlib import Path
+
+    import repro
+
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith("REPRO_")}
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    env.update(extra)
+    return env
+
+
+def _proc_state(pid):
+    """Linux process state letter of ``pid``, or None when it is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0]
+    except (FileNotFoundError, ProcessLookupError, IndexError):
+        return None
+
+
+def _children(pid):
+    """Pids whose parent is ``pid`` (scanned from /proc)."""
+    import os
+
+    kids = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                ppid = int(fh.read().rsplit(")", 1)[1].split()[1])
+        except (OSError, IndexError, ValueError):
+            continue
+        if ppid == pid:
+            kids.append(int(entry))
+    return kids
+
+
+_SWEEP_UNDER_HOOK = """
+import json, os, sys
+counter = sys.argv[1]
+
+def hook(unraisable):
+    with open(counter, "a") as fh:
+        fh.write(f"{os.getpid()} {type(unraisable.exc_value).__name__}\\n")
+
+sys.unraisablehook = hook   # forked pool workers inherit it
+from repro.config import base_config
+from repro.experiments.runner import SweepRunner
+from repro.workloads import get_workload
+cfg = base_config(seed=0)
+traces = [get_workload(app, machine=cfg.machine, scale=0.02, seed=seed)
+          for app in ("lu", "ocean", "radix") for seed in (0, 1)]
+runner = SweepRunner(jobs=2)
+runner.map_runs([(t, s, cfg) for t in traces for s in ("perfect", "ccnuma")])
+spill = getattr(runner, "spill_dir", None)
+runner.close()
+print(json.dumps({"spill_dir": str(spill) if spill else None}))
+"""
+
+
+@pytest.mark.skipif(not __import__("os").path.isdir("/proc"),
+                    reason="needs Linux /proc")
+class TestProcessHygiene:
+    """A pooled sweep leaves no exceptions, segments, files or processes."""
+
+    def test_pooled_sweep_is_clean(self, tmp_path):
+        """More distinct traces than a worker caches, under a counting
+        unraisable hook: no exception escapes a destructor, nothing
+        appears in /dev/shm and the spill directory is gone on close."""
+        import glob
+        import json
+        import subprocess
+        import sys
+
+        before = set(glob.glob("/dev/shm/repro_*"))
+        counter = tmp_path / "unraisable.log"
+        proc = subprocess.run(
+            [sys.executable, "-c", _SWEEP_UNDER_HOOK, str(counter)],
+            env=_subprocess_env(TMPDIR=str(tmp_path)), cwd=tmp_path,
+            capture_output=True,
+            text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        logged = counter.read_text() if counter.exists() else ""
+        assert logged == ""
+        assert set(glob.glob("/dev/shm/repro_*")) <= before
+        spill_dir = json.loads(proc.stdout.splitlines()[-1])["spill_dir"]
+        assert spill_dir is not None
+        from pathlib import Path
+        assert not Path(spill_dir).exists()
+
+    def test_workers_exit_when_supervisor_is_killed(self, tmp_path):
+        """SIGKILL a jobs=2 sweep whose workers are mid-run: every child
+        exits on its own within 10 s instead of outliving it."""
+        import os
+        import signal
+        import subprocess
+        import sys
+        import time
+
+        # the killed sweep cannot remove its spill directory: keep it
+        # under tmp_path
+        env = _subprocess_env(REPRO_FAULTS="hang=1.0",
+                              REPRO_FAULTS_HANG_S="120",
+                              TMPDIR=str(tmp_path))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "exp", "figure5", "--apps",
+             "lu,ocean", "--scale", "0.05", "--jobs", "2"],
+            env=env, cwd=tmp_path, stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL)
+        kids = []
+        try:
+            deadline = time.monotonic() + 120
+            while len(kids) < 2 and time.monotonic() < deadline:
+                assert proc.poll() is None, "sweep ended before the kill"
+                time.sleep(0.1)
+                kids = _children(proc.pid)
+            assert len(kids) >= 2, "the pool never started"
+            time.sleep(0.5)   # let the workers pick up their runs
+            kids = _children(proc.pid)
+            proc.send_signal(signal.SIGKILL)
+            proc.wait(timeout=10)
+            deadline = time.monotonic() + 10
+            alive = kids
+            while alive and time.monotonic() < deadline:
+                time.sleep(0.1)
+                alive = [k for k in kids
+                         if _proc_state(k) not in (None, "Z")]
+            assert alive == []
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            for kid in kids:
+                try:
+                    os.kill(kid, signal.SIGKILL)
+                except OSError:
+                    pass
 
 
 class UserCCNUMA(CCNUMAProtocol):
@@ -523,6 +485,13 @@ class TestHarnessIntegration:
         assert default_jobs() >= 1
         monkeypatch.setenv("REPRO_JOBS", "bogus")
         assert default_jobs() == 1
+
+    def test_ensure_runner_rejects_conflicting_kwargs(self, tmp_path):
+        with SweepRunner() as mine:
+            with pytest.raises(ValueError):
+                ensure_runner(mine, store=tmp_path / "results.sqlite")
+            same, owned = ensure_runner(mine, store=None)
+            assert same is mine and not owned
 
     def test_ensure_runner_ownership(self):
         owned_runner, owned = ensure_runner(None)

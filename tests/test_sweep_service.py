@@ -250,7 +250,10 @@ class TestKillRestartResume:
         import repro
         src = os.path.dirname(os.path.dirname(os.path.abspath(
             repro.__file__)))
+        # a SIGKILLed daemon cannot remove its trace spill directory:
+        # keep it under the test's tmp_path
         env = dict(os.environ,
+                   TMPDIR=str(store_path.parent),
                    PYTHONPATH=os.pathsep.join(
                        [src] + os.environ.get("PYTHONPATH", "").split(
                            os.pathsep)))

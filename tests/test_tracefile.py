@@ -336,10 +336,9 @@ class TestRunnerIntegration:
             streamed = runner.map_runs(
                 [(open_trace(lu_file), s, cfg) for s in SYSTEMS])
             stats = runner.stats
-        assert stats.file_runs == len(SYSTEMS)
+        assert stats.parallel_runs == len(SYSTEMS)
         assert stats.file_maps >= 1
-        assert stats.traces_spilled == 0        # never materialized to npz
-        assert stats.shm_segments == 0
+        assert stats.traces_spilled == 0        # ships its own path
         assert stats.bytes_streamed > 0
         assert stats.peak_rss_kb > 0
         for got, want in zip(streamed, reference):
@@ -351,9 +350,12 @@ class TestRunnerIntegration:
         with SweepRunner(jobs=1, memoize=False) as runner:
             reference = runner.map_runs(
                 [(lu_trace, s, cfg) for s in SYSTEMS])
+        # every pool attempt (retries=2) crashes: the ladder must land
+        # each run on the inline lane
         monkeypatch.setenv("REPRO_FAULTS", "crash=1.0")
         monkeypatch.setenv("REPRO_FAULTS_ATTEMPTS", "2")
-        with SweepRunner(jobs=2, memoize=False) as runner:
+        with SweepRunner(jobs=2, memoize=False, retries=2,
+                         backoff=0.01) as runner:
             streamed = runner.map_runs(
                 [(open_trace(lu_file), s, cfg) for s in SYSTEMS])
             stats = runner.stats
