@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.ablation import run_placement_ablation
+from repro.experiments.scenario import get_scenario, run_scenario
 
 from bench_helpers import run_once
 
@@ -23,11 +23,14 @@ POLICIES = ("first-touch", "single-node")
 
 
 def test_placement_ablation(benchmark, scale):
-    result = run_once(benchmark, run_placement_ablation,
-                      apps=APPS, systems=SYSTEMS, policies=POLICIES,
+    configs = get_scenario("ablation-placement").configs
+    result = run_once(benchmark, run_scenario, "ablation-placement",
+                      apps=APPS, systems=SYSTEMS,
+                      configs={p: configs[p] for p in POLICIES},
                       scale=min(0.3, scale))
 
-    means = {policy: {system: result.mean_normalized(system, policy)
+    series_means = result.mean()
+    means = {policy: {system: series_means[f"{system}-{policy}"]
                       for system in SYSTEMS}
              for policy in POLICIES}
     benchmark.extra_info["mean_normalized_times"] = {

@@ -14,9 +14,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.ablation import run_block_cache_ablation, run_scoma_ablation
-
-from bench_helpers import run_once
+from bench_helpers import figure_data, run_once
 
 APPS = ("barnes", "lu", "radix")
 
@@ -26,7 +24,7 @@ def _mean(per_app, system):
 
 
 def test_dram_block_cache_ablation(benchmark, scale):
-    data = run_once(benchmark, run_block_cache_ablation,
+    data = run_once(benchmark, figure_data, "ablation-block-cache",
                     apps=APPS, scale=min(0.3, scale))
     benchmark.extra_info["normalized_times"] = {
         app: {s: round(v, 3) for s, v in times.items()}
@@ -42,7 +40,7 @@ def test_dram_block_cache_ablation(benchmark, scale):
 
 
 def test_scoma_ablation(benchmark, scale):
-    data = run_once(benchmark, run_scoma_ablation,
+    data = run_once(benchmark, figure_data, "ablation-scoma",
                     apps=APPS, scale=min(0.3, scale))
     benchmark.extra_info["normalized_times"] = {
         app: {s: round(v, 3) for s, v in times.items()}

@@ -12,18 +12,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.figure5 import FIGURE5_SYSTEMS, normalized_times, run_figure5_app
+from repro.experiments.scenarios import FIGURE5_SYSTEMS
 
-from bench_helpers import APPS, run_once
+from bench_helpers import APPS, figure_data, run_once
 
 
 @pytest.mark.parametrize("app", APPS)
 def test_figure5_app(benchmark, app, scale):
-    def run():
-        results = run_figure5_app(app, scale=scale)
-        return normalized_times(results)
-
-    times = run_once(benchmark, run)
+    times = run_once(benchmark, figure_data, "figure5", apps=(app,),
+                     scale=scale)[app]
     benchmark.extra_info["app"] = app
     benchmark.extra_info["systems"] = list(FIGURE5_SYSTEMS)
     benchmark.extra_info["normalized_times"] = {k: round(v, 3)

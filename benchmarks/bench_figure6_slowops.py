@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.figure6 import run_figure6_app
-
-from bench_helpers import APPS, run_once
+from bench_helpers import APPS, figure_data, run_once
 
 
 @pytest.mark.parametrize("app", APPS)
 def test_figure6_app(benchmark, app, scale):
-    data = run_once(benchmark, run_figure6_app, app, scale=scale)
+    data = run_once(benchmark, figure_data, "figure6", apps=(app,),
+                    scale=scale)[app]
     benchmark.extra_info["app"] = app
     benchmark.extra_info["normalized_times"] = {k: round(v, 3)
                                                 for k, v in data.items()}

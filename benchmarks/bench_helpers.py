@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import os
 
+from repro.experiments.scenario import run_scenario
+
 #: Applications in the paper's order.
 APPS = ("barnes", "cholesky", "fmm", "lu", "ocean", "radix", "raytrace")
 
@@ -22,6 +24,13 @@ APPS = ("barnes", "cholesky", "fmm", "lu", "ocean", "radix", "raytrace")
 def bench_scale() -> float:
     """Workload access scale used by the benchmarks."""
     return float(os.environ.get("REPRO_BENCH_SCALE", "0.5"))
+
+
+def figure_data(scenario: str, **kwargs):
+    """``{app: {series: normalized time}}`` of one registered scenario run
+    (``kwargs`` are :func:`repro.experiments.scenario.run_scenario` axis
+    overrides)."""
+    return run_scenario(scenario, **kwargs).figure_data()
 
 
 def run_once(benchmark, func, *args, **kwargs):

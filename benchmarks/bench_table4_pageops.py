@@ -11,14 +11,16 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.table4 import run_table4_app
+from repro.experiments.scenario import run_scenario
+from repro.experiments.scenarios import table4_rows
 
 from bench_helpers import APPS, run_once
 
 
 @pytest.mark.parametrize("app", APPS)
 def test_table4_app(benchmark, app, scale):
-    row = run_once(benchmark, run_table4_app, app, scale=scale)
+    rs = run_once(benchmark, run_scenario, "table4", apps=(app,), scale=scale)
+    [row] = table4_rows(rs)
     benchmark.extra_info["app"] = app
     benchmark.extra_info["migrations_per_node"] = round(row.migrations_per_node, 1)
     benchmark.extra_info["replications_per_node"] = round(row.replications_per_node, 1)

@@ -6,15 +6,15 @@ figure of the paper has a benchmark target that regenerates it.
 
 from __future__ import annotations
 
-from repro.experiments.table1 import MECHANISMS, SCENARIOS, run_table1
-from repro.experiments.table2 import run_table2
-from repro.experiments.table3 import run_table3
+from repro.experiments.scenario import run_scenario
+from repro.experiments.scenarios import table1_matrix, table2_rows, table3_rows
 
 from bench_helpers import run_once
 
 
 def test_table1_matrix(benchmark, scale):
-    matrix = run_once(benchmark, run_table1, scale=max(0.3, scale))
+    matrix = table1_matrix(run_once(benchmark, run_scenario, "table1",
+                                    scale=max(0.3, scale)))
     benchmark.extra_info["matrix"] = {
         mech: {scen: ("yes" if cell.reduces_misses else "no")
                for scen, cell in cells.items()}
@@ -29,12 +29,13 @@ def test_table1_matrix(benchmark, scale):
 
 
 def test_table2_workloads(benchmark):
-    rows = run_once(benchmark, run_table2)
-    benchmark.extra_info["apps"] = {r.app: r.paper_input for r in rows}
+    rows = run_once(benchmark, table2_rows)
+    benchmark.extra_info["apps"] = {r["app"]: r["paper_input"] for r in rows}
     assert len(rows) == 7
 
 
 def test_table3_costs(benchmark):
-    rows = run_once(benchmark, run_table3)
-    benchmark.extra_info["rows"] = {r.operation: r.model_cycles for r in rows}
-    assert all(r.matches for r in rows)
+    rows = run_once(benchmark, table3_rows)
+    benchmark.extra_info["rows"] = {r["operation"]: r["model_cycles"]
+                                    for r in rows}
+    assert all(r["matches"] for r in rows)

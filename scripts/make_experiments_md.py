@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Regenerate EXPERIMENTS.md by running every experiment harness.
+"""Regenerate EXPERIMENTS.md by running every table and figure scenario.
 
 Usage::
 

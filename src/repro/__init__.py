@@ -54,7 +54,7 @@ The public API is intentionally small:
     execute batches of independent runs — memoized by a trace/config
     digest and fanned out across *supervised* worker processes that
     mmap each trace from a file — the engine behind every
-    figure/table/ablation harness.  Worker crashes, hangs and run
+    scenario and of the report.  Worker crashes, hangs and run
     exceptions are classified and retried with capped exponential
     backoff, the last attempt inline; :class:`RunnerStats` surfaces the
     cache/dispatch/fault counters.
@@ -99,8 +99,9 @@ The public API is intentionally small:
     ``repro trace gen|import|info|verify``).
 
 ``repro.experiments``
-    one module per table/figure of the paper's evaluation section, the
-    ablation harnesses, and the EXPERIMENTS.md report builder.
+    the sweep runner, the scenario registry (every table/figure of the
+    paper's evaluation section and the ablations, run by
+    ``run_scenario``), and the EXPERIMENTS.md report builder.
 
 ``repro.cli``
     the ``repro`` / ``python -m repro`` command-line interface.

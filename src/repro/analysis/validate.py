@@ -67,7 +67,7 @@ def check_figure5_shape(per_app: Mapping[str, Mapping[str, float]],
     """Check the Section 6.1 claims on Figure 5 data.
 
     ``per_app`` maps application name to {system: normalized time}, as
-    produced by :func:`repro.experiments.figure5.run_figure5`.
+    produced by ``run_scenario("figure5").figure_data()``.
     """
     checks: List[ShapeCheck] = []
     cc = _mean_over_apps(per_app, "ccnuma")
@@ -129,9 +129,9 @@ def check_table4_shape(rows: Sequence,
                        *, min_ratio: float = 1.5) -> List[ShapeCheck]:
     """Check the Table 4 claims.
 
-    ``rows`` is the list of :class:`repro.experiments.table4.Table4Row`
-    produced by :func:`repro.experiments.table4.run_table4` (any object
-    with the same attributes works).
+    ``rows`` is the list of :class:`repro.experiments.scenarios.Table4Row`
+    that :func:`repro.experiments.scenarios.table4_rows` derives from a
+    ``table4`` run (any object with the same attributes works).
     """
     checks: List[ShapeCheck] = []
     reloc = _mean([r.relocations_per_node for r in rows])
@@ -174,7 +174,7 @@ def check_figure6_shape(per_app: Mapping[str, Mapping[str, float]]) -> List[Shap
 
     ``per_app`` maps application -> series dict with keys ``migrep-fast``,
     ``migrep-slow``, ``rnuma-fast`` and ``rnuma-slow``, as produced by
-    :func:`repro.experiments.figure6.run_figure6`.
+    ``run_scenario("figure6").figure_data()``.
     """
     mig_fast = _mean_over_apps(per_app, "migrep-fast")
     mig_slow = _mean_over_apps(per_app, "migrep-slow")

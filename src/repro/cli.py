@@ -13,8 +13,6 @@ command                 what it does
 ``exp``                 run any registered scenario (``repro exp figure5``,
                         ``repro exp sweep-page-cache``, or one registered
                         by user code) with axis overrides
-``figure5`` .. ``figure8``  regenerate one of the paper's figures
-``table1`` .. ``table4``    regenerate one of the paper's tables
 ``sweep``               run one of the predefined parameter sweeps
 ``analyze``             sharing-pattern analysis of a workload trace
 ``trace``               out-of-core trace files: ``gen`` (generate a
@@ -39,11 +37,10 @@ Trace files plug back into every other command: ``repro exp <scenario>
 --apps file:/path/to/trace.rpt`` streams the file through a scenario
 without registering anything.
 
-The figure/table commands are legacy spellings that delegate to the same
-scenario machinery as ``exp`` (keeping their historical output and export
-shapes); ``repro exp <scenario>`` is the generic path and renders/exports
-every scenario — including user-registered ones — through one code path
-(:mod:`repro.stats.export`).
+Every table and figure of the paper is a registered scenario
+(``repro exp figure5`` … ``repro exp table4``); ``repro exp`` renders and
+exports every scenario — including user-registered ones — through one
+code path (:mod:`repro.stats.export`).
 
 Every command accepts ``--scale`` (workload size multiplier), ``--seed``
 and, where meaningful, ``--apps`` / ``--systems`` selections.  Results can
@@ -73,8 +70,6 @@ from repro.config import SimulationConfig, base_config
 from repro.core.decisions import POLICY_NAMES, apply_policy
 from repro.core.factory import SYSTEM_NAMES
 from repro.engine import ENGINE_NAMES
-from repro.experiments import figure5, figure6, figure7, figure8
-from repro.experiments import table1, table2, table3, table4
 from repro.experiments.runner import SweepRunner
 from repro.experiments.store import (
     STORE_ENV_VAR,
@@ -93,12 +88,10 @@ from repro.kernel.placement import PLACEMENT_NAMES
 from repro.registry import SCENARIOS, UnknownNameError
 from repro.stats.export import (
     export_resultset,
-    figure_to_rows,
     render_resultset,
     write_csv,
     write_json,
 )
-from repro.stats.plotting import grouped_bar_chart
 from repro.workloads import get_workload, list_workloads
 
 
@@ -106,18 +99,17 @@ def _csv_list(text: str) -> List[str]:
     return [item.strip() for item in text.split(",") if item.strip()]
 
 
-def _add_common(parser: argparse.ArgumentParser, *, apps: bool = True,
-                systems: bool = False, runner: bool = True) -> None:
+def _add_common(parser: argparse.ArgumentParser, *,
+                apps: bool = True) -> None:
     parser.add_argument("--scale", type=float, default=0.5,
                         help="workload scale factor (default 0.5)")
     parser.add_argument("--seed", type=int, default=0, help="random seed")
-    if runner:
-        parser.add_argument("--jobs", "-j", type=int, default=None,
-                            help="worker processes for independent runs "
-                                 "(default: REPRO_JOBS or 1)")
-        parser.add_argument("--engine", choices=ENGINE_NAMES, default=None,
-                            help="simulation engine (default: kernel, or "
-                                 "REPRO_ENGINE)")
+    parser.add_argument("--jobs", "-j", type=int, default=None,
+                        help="worker processes for independent runs "
+                             "(default: REPRO_JOBS or 1)")
+    parser.add_argument("--engine", choices=ENGINE_NAMES, default=None,
+                        help="simulation engine (default: kernel, or "
+                             "REPRO_ENGINE)")
     parser.add_argument("--csv", type=str, default=None,
                         help="also write the result rows to this CSV file")
     parser.add_argument("--json", type=str, default=None,
@@ -127,9 +119,6 @@ def _add_common(parser: argparse.ArgumentParser, *, apps: bool = True,
     if apps:
         parser.add_argument("--apps", type=_csv_list, default=None,
                             help="comma-separated application subset")
-    if systems:
-        parser.add_argument("--systems", type=_csv_list, default=None,
-                            help="comma-separated system subset")
 
 
 def _export(args: argparse.Namespace, rows: Sequence[Dict[str, object]],
@@ -517,71 +506,6 @@ def _cmd_exp(args: argparse.Namespace) -> int:
     return 0
 
 
-# -- legacy figure/table commands (delegate to the scenario machinery) ------
-
-
-def _figure_command(figure_fn: Callable, renderer: Callable,
-                    value_name: str = "normalized_time") -> Callable:
-    def cmd(args: argparse.Namespace) -> int:
-        kwargs = {"scale": args.scale, "seed": args.seed}
-        if args.apps:
-            kwargs["apps"] = args.apps
-        with _make_runner(args) as runner:
-            data = figure_fn(runner=runner, **kwargs)
-        print(renderer(data))
-        if getattr(args, "chart", False):
-            systems = sorted({s for times in data.values() for s in times})
-            print()
-            print(grouped_bar_chart(data, systems,
-                                    title="normalized execution time"))
-        _export(args, figure_to_rows(data, value_name=value_name), data)
-        return 0
-    return cmd
-
-
-def _cmd_table1(args: argparse.Namespace) -> int:
-    matrix = table1.run_table1(scale=max(0.3, args.scale), seed=args.seed)
-    print(table1.render_table1(matrix))
-    rows = [{"mechanism": mech, "scenario": scen,
-             "reduces_misses": cell.reduces_misses}
-            for mech, cells in matrix.items() for scen, cell in cells.items()]
-    _export(args, rows, rows)
-    return 0
-
-
-def _cmd_table2(args: argparse.Namespace) -> int:
-    rows = table2.run_table2()
-    print(table2.render_table2(rows))
-    _export(args, [vars(r) for r in rows], [vars(r) for r in rows])
-    return 0
-
-
-def _cmd_table3(args: argparse.Namespace) -> int:
-    rows = table3.run_table3()
-    print(table3.render_table3(rows))
-    _export(args, [vars(r) for r in rows], [vars(r) for r in rows])
-    return 0
-
-
-def _cmd_table4(args: argparse.Namespace) -> int:
-    kwargs = {"scale": args.scale, "seed": args.seed}
-    if args.apps:
-        kwargs["apps"] = args.apps
-    with _make_runner(args) as runner:
-        rows = table4.run_table4(runner=runner, **kwargs)
-    print(table4.render_table4(rows))
-    flat = [{
-        "app": r.app,
-        "migrations_per_node": r.migrations_per_node,
-        "replications_per_node": r.replications_per_node,
-        "relocations_per_node": r.relocations_per_node,
-        **{f"misses_{k}": v for k, v in r.misses.items()},
-        **{f"capacity_conflict_{k}": v for k, v in r.capacity_conflict.items()},
-    } for r in rows]
-    _export(args, flat, flat)
-    return 0
-
-
 _SWEEPS: Dict[str, Callable[..., SweepResult]] = {
     "rnuma-threshold": rnuma_threshold_sweep,
     "migrep-threshold": migrep_threshold_sweep,
@@ -777,14 +701,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "demoted/residual reference counts and wall "
                             "time) plus the runner's cache counters")
 
-    for name in ("figure5", "figure6", "figure7", "figure8",
-                 "table1", "table2", "table3", "table4"):
-        p = sub.add_parser(name, help=f"regenerate the paper's {name}")
-        # table1 drives bespoke scenario specs and tables 2/3 are static,
-        # so only table4 goes through the SweepRunner
-        _add_common(p, apps=name not in ("table1", "table2", "table3"),
-                    runner=name not in ("table1", "table2", "table3"))
-
     sweep_p = sub.add_parser("sweep", help="run a predefined parameter sweep")
     sweep_p.add_argument("sweep", choices=sorted(_SWEEPS))
     sweep_p.add_argument("--values", nargs="*", default=None,
@@ -899,14 +815,6 @@ _COMMANDS: Dict[str, Callable[[argparse.Namespace], int]] = {
     "list": _cmd_list,
     "run": _cmd_run,
     "exp": _cmd_exp,
-    "figure5": _figure_command(figure5.run_figure5, figure5.render_figure5),
-    "figure6": _figure_command(figure6.run_figure6, figure6.render_figure6),
-    "figure7": _figure_command(figure7.run_figure7, figure7.render_figure7),
-    "figure8": _figure_command(figure8.run_figure8, figure8.render_figure8),
-    "table1": _cmd_table1,
-    "table2": _cmd_table2,
-    "table3": _cmd_table3,
-    "table4": _cmd_table4,
     "sweep": _cmd_sweep,
     "analyze": _cmd_analyze,
     "trace": _cmd_trace,

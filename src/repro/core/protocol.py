@@ -91,7 +91,9 @@ class DSMProtocol:
     name = "base"
 
     def __init__(self, machine: "Machine") -> None:
-        self.machine = machine
+        # no back-reference to the machine: it owns this protocol, and a
+        # machine <-> protocol cycle would leave every finished run's
+        # caches and stores to the cyclic collector instead of refcounting
         self.cfg = machine.cfg
         self.costs = machine.cfg.costs
         self.addr = machine.addr

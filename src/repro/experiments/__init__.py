@@ -1,4 +1,4 @@
-"""Experiment harnesses: declarative scenarios plus the classic modules.
+"""Experiment harnesses: declarative scenarios, the runner, the report.
 
 * :mod:`repro.experiments.runner` — run (workload, system) experiments:
   one-shot helpers and the parallel, memoizing :class:`SweepRunner`
@@ -12,10 +12,10 @@
   warm daemon (:class:`SweepService`) deduping and caching sweeps for
   concurrent :class:`ServiceClient` submitters.
 * :mod:`repro.experiments.scenarios` — the built-in scenario registry:
-  Figures 5-8, Tables 1-4 and the ablations/sweeps as declarations.
-* :mod:`repro.experiments.table1` … :mod:`repro.experiments.figure8` —
-  one module per table/figure of the paper, now thin compatibility shims
-  over the corresponding scenario (identical return values).
+  Figures 5-8, Tables 1-4 and the ablations/sweeps as declarations, plus
+  the row derivations of Tables 1-4.
+* :mod:`repro.experiments.report` — :func:`build_report`, every section
+  of EXPERIMENTS.md run over one shared runner.
 """
 
 from repro.experiments.runner import (

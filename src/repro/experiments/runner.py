@@ -66,16 +66,17 @@ from concurrent.futures import (
 )
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.cluster.machine import Machine
-from repro.config import SimulationConfig, base_config
+from repro.config import MachineConfig, SimulationConfig, base_config
 from repro.core.factory import SystemSpec, build_system
 from repro.engine import default_engine
 from repro.engine.kernel import BAIL_KIND_NAMES
 from repro.experiments import faults as _faults
 from repro.experiments.store import ResultStore
 from repro.stats.counters import MachineStats
+from repro.workloads import get_workload
 from repro.workloads.trace import Trace
 from repro.workloads.tracefile import (
     TRACE_FILE_SUFFIX,
@@ -349,6 +350,9 @@ def _execute_file_run(trace_path: str, digest: str, system_name: str,
 #: The memo key: (trace digest, system, config repr, engine).
 RunKey = Tuple[str, str, str, str]
 
+#: Builds one trace: ``(app, machine, scale, seed) -> Trace``.
+TraceFactory = Callable[[str, MachineConfig, float, int], Trace]
+
 
 @dataclass
 class RunnerStats:
@@ -492,6 +496,8 @@ class SweepRunner:
         self._memo: Dict[RunKey, ExperimentResult] = {}
         self._pool: Optional[ProcessPoolExecutor] = None
         self._trace_keys: Dict[int, str] = {}
+        #: generated traces by (factory, app, machine, scale, seed)
+        self._traces: Dict[Tuple, Trace] = {}
         #: private directory of spilled trace files (created on first spill)
         self.spill_dir: Optional[Path] = None
         self._spilled: Dict[str, Path] = {}
@@ -511,7 +517,9 @@ class SweepRunner:
         self.close()
 
     def close(self) -> None:
-        """Shut down the worker pool, remove spilled traces, close the store."""
+        """Shut down the worker pool, drop the trace memo, remove spilled
+        traces and close the store."""
+        self._traces.clear()
         if self._pool is not None:
             self._pool.shutdown()
             self._pool = None
@@ -521,6 +529,33 @@ class SweepRunner:
             self._spilled.clear()
         if self.store is not None and self._owns_result_store:
             self.store.close()
+
+    # -- traces -------------------------------------------------------------
+
+    def trace(self, app: str, machine: MachineConfig, scale: float,
+              seed: int, factory: Optional[TraceFactory] = None) -> Trace:
+        """The trace of one (app, machine, scale, seed) cell.
+
+        ``factory`` builds it (default :func:`repro.workloads.get_workload`).
+        Each distinct (factory, app, machine, scale, seed) is generated,
+        and later digested and spilled, once per runner: every scenario
+        run over this runner shares the trace memo until :meth:`close`
+        or :meth:`forget_traces`.
+        """
+        key = (factory, app, machine, scale, seed)
+        trace = self._traces.get(key)
+        if trace is None:
+            if factory is None:
+                trace = get_workload(app, machine=machine, scale=scale,
+                                     seed=seed)
+            else:
+                trace = factory(app, machine, scale, seed)
+            self._traces[key] = trace
+        return trace
+
+    def forget_traces(self) -> None:
+        """Drop the trace memo (a long-lived runner between batches)."""
+        self._traces.clear()
 
     # -- keys ---------------------------------------------------------------
 

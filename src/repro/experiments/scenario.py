@@ -2,9 +2,8 @@
 
 Every figure and table of the paper's evaluation — and every ablation this
 reproduction adds — is a grid of (application × system × configuration)
-simulations normalized against a baseline run.  Earlier revisions spelled
-that grid out eight times over in ``figure5.py`` … ``table4.py``; this
-module factors the shape into three pieces:
+simulations normalized against a baseline run.  This module factors that
+shape into three pieces:
 
 :class:`Scenario`
     a frozen declaration of the grid's axes (apps, systems, configs,
@@ -18,9 +17,10 @@ module factors the shape into three pieces:
     the one executor.  It expands the axes into independent cells,
     submits them as a single batch to a
     :class:`repro.experiments.runner.SweepRunner` (parallel across
-    processes, memoized by trace/config digest) and assembles the flat
-    result rows.  Runtime keyword arguments override any axis, which is
-    what ``repro exp <scenario> --apps … --systems … --scale …`` maps to.
+    processes, memoized by trace/config digest, each trace generated once
+    per runner) and assembles the flat result rows.  Runtime keyword
+    arguments override any axis, which is what ``repro exp <scenario>
+    --apps … --systems … --scale …`` maps to.
 
 :class:`ResultSet`
     the returned artifact: one flat dictionary per (app, system, config,
@@ -29,11 +29,6 @@ module factors the shape into three pieces:
     plus pivot/filter/mean helpers and exporters
     (:mod:`repro.stats.export` renders CSV/JSON/Markdown from this one
     shape).
-
-The legacy ``run_figureN`` / ``run_tableN`` entry points are thin shims
-over scenarios declared in :mod:`repro.experiments.scenarios`; they
-return bit-identical data to what they produced before the redesign
-(enforced by ``tests/test_scenario.py``).
 """
 
 from __future__ import annotations
@@ -52,17 +47,18 @@ from typing import (
     Union,
 )
 
-from repro.config import MachineConfig, SimulationConfig, base_config
-from repro.experiments.runner import ExperimentResult, SweepRunner, ensure_runner
+from repro.config import SimulationConfig, base_config
+from repro.experiments.runner import (
+    ExperimentResult,
+    SweepRunner,
+    TraceFactory,
+    ensure_runner,
+)
 from repro.registry import SCENARIOS
-from repro.workloads import get_workload, list_workloads
-from repro.workloads.trace import Trace
+from repro.workloads import list_workloads
 
 #: A config axis entry: a ready configuration or a ``seed -> config`` factory.
 ConfigLike = Union[SimulationConfig, Callable[[int], SimulationConfig]]
-
-#: Builds the trace for one cell: ``(app, machine, scale, seed) -> Trace``.
-TraceFactory = Callable[[str, MachineConfig, float, int], Trace]
 
 
 def _default_configs() -> Dict[str, ConfigLike]:
@@ -206,9 +202,9 @@ class ResultSet:
         self.axes = dict(axes or {})
         self.baseline = baseline
         #: cache/dispatch counters of the SweepRunner that executed the
-        #: plan (memo hits, parallel runs, shared-memory attaches, warm
-        #: worker reuse) — set by :func:`run_scenario`, ``None`` for
-        #: hand-built sets
+        #: plan (memo hits, parallel runs, spilled traces, warm worker
+        #: reuse) — set by :func:`run_scenario`, ``None`` for hand-built
+        #: sets
         self.runner_stats = dict(runner_stats) if runner_stats else None
 
     def __len__(self) -> int:
@@ -557,8 +553,10 @@ def run_scenario(scenario: Union[str, Scenario], *,
         cell, baseline rows included.
 
     All cells are submitted to the runner as one batch, so the plan runs
-    fully parallel under a multi-process :class:`SweepRunner` and repeated
-    cells (e.g. a baseline shared between scenarios) are memoized.
+    fully parallel under a multi-process :class:`SweepRunner`.  Scenarios
+    run over one shared runner share its memo and trace memo: a cell or a
+    trace another scenario already produced (e.g. a shared baseline) is
+    neither simulated nor generated again.
     """
     scn = get_scenario(scenario) if isinstance(scenario, str) else scenario
 
@@ -637,19 +635,6 @@ def run_scenario(scenario: Union[str, Scenario], *,
                     for system in system_names:
                         add(app, system, key, sc, sd)
 
-    # -- build traces (one per distinct (app, scale, seed, machine)) --------
-    make_trace = scn.trace_factory or (
-        lambda app, machine, sc, sd: get_workload(app, machine=machine,
-                                                  scale=sc, seed=sd))
-    traces: Dict[Tuple, Trace] = {}
-
-    def trace_for(app: str, key: Any, sc: float, sd: int) -> Trace:
-        machine = cfgs[(key, sd)].machine
-        tkey = (app, sc, sd, machine)
-        if tkey not in traces:
-            traces[tkey] = make_trace(app, machine, sc, sd)
-        return traces[tkey]
-
     # -- one batch through the runner ---------------------------------------
     runner, owned = ensure_runner(runner, store=store)
     try:
@@ -657,7 +642,9 @@ def run_scenario(scenario: Union[str, Scenario], *,
         # counters: the delta across the batch, not the lifetime totals
         stats_before = runner.stats.as_dict()
         results = runner.map_runs([
-            (trace_for(app, key, sc, sd), system, cfgs[(key, sd)])
+            (runner.trace(app, cfgs[(key, sd)].machine, sc, sd,
+                          scn.trace_factory),
+             system, cfgs[(key, sd)])
             for app, system, key, sc, sd in cells])
 
         def _delta(after, before):

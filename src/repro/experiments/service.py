@@ -154,9 +154,17 @@ class SweepService:
     # -- execution ----------------------------------------------------------
 
     def _execute(self, scenario: str, kwargs: Dict[str, object]) -> ResultSet:
-        """Run one submission through the shared runner (worker thread)."""
+        """Run one submission through the shared runner (worker thread).
+
+        The runner outlives every submission, so its trace memo is dropped
+        after each one: completed runs stay reusable through the memo
+        table and the store, which key on trace digests, not on traces.
+        """
         with self._runner_lock:
-            return run_scenario(scenario, runner=self.runner, **kwargs)
+            try:
+                return run_scenario(scenario, runner=self.runner, **kwargs)
+            finally:
+                self.runner.forget_traces()
 
     def _service_stats(self) -> Dict[str, object]:
         return {

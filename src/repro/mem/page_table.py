@@ -120,7 +120,7 @@ class PageTable:
     """Page table (and mapping-mode bookkeeping) for a single node."""
 
     __slots__ = ("node", "_modes", "_writable", "_faults", "_remaps",
-                 "_tracked", "_views", "soft_faults", "protection_faults")
+                 "_tracked", "soft_faults", "protection_faults")
 
     def __init__(self, node: int) -> None:
         if node < 0:
@@ -131,9 +131,6 @@ class PageTable:
         self._faults = array("q")
         self._remaps: List[int] = []
         self._tracked = bytearray()
-        # entry()/peek() view objects, one per page, created on demand so
-        # repeated calls return the same object (callers may hold them)
-        self._views: dict[int, PageTableEntry] = {}
         self.soft_faults = 0
         self.protection_faults = 0
 
@@ -154,15 +151,15 @@ class PageTable:
     # -- lookup --------------------------------------------------------------------
 
     def entry(self, page: int) -> PageTableEntry:
-        """Return (creating if needed) a view of the entry for ``page``."""
+        """Return (creating if needed) a live view of the entry for ``page``.
+
+        Views are not cached: each call builds a fresh two-slot object, so
+        the table never refers back to its views (no reference cycle).
+        """
         if page >= len(self._modes):
             self.reserve(page + 1)
         self._tracked[page] = 1
-        view = self._views.get(page)
-        if view is None:
-            view = PageTableEntry(self, page)
-            self._views[page] = view
-        return view
+        return PageTableEntry(self, page)
 
     def peek(self, page: int) -> Optional[PageTableEntry]:
         """Return a view of the entry for ``page`` without creating it."""

@@ -25,8 +25,7 @@ def _normalize_stream(arr, dtype: np.dtype) -> np.ndarray:
     object, no copy, no view wrapper): streaming trace readers construct
     many short-lived :class:`PhaseTrace` objects around mmap-backed
     views, and re-wrapping every stream would defeat zero-copy dispatch
-    and break the per-object identity that e.g. shared-memory views rely
-    on.  Anything else (wrong dtype, non-contiguous, subclasses like
+    (each wrap is a new object over the same mapped bytes).  Anything else (wrong dtype, non-contiguous, subclasses like
     ``np.memmap``, plain lists) goes through ``np.ascontiguousarray``.
     """
     if (type(arr) is np.ndarray and arr.dtype == dtype

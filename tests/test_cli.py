@@ -10,6 +10,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.core.factory import SYSTEM_NAMES
+from repro.experiments.scenario import run_scenario
 from repro.kernel.placement import PLACEMENT_NAMES
 from repro.workloads import list_workloads
 
@@ -22,6 +23,13 @@ class TestParser:
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
+
+    @pytest.mark.parametrize("name", ["figure5", "table4"])
+    def test_paper_artifacts_run_through_exp_only(self, name):
+        # every table/figure is a scenario: `repro exp <name>` runs it
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([name])
+        assert build_parser().parse_args(["exp", name]).scenario == name
 
     def test_run_arguments(self):
         args = build_parser().parse_args(
@@ -36,7 +44,8 @@ class TestParser:
             build_parser().parse_args(["run", "lu", "not-a-system"])
 
     def test_apps_are_comma_separated(self):
-        args = build_parser().parse_args(["figure5", "--apps", "lu, radix"])
+        args = build_parser().parse_args(["exp", "figure5",
+                                          "--apps", "lu, radix"])
         assert args.apps == ["lu", "radix"]
 
     def test_sweep_choices(self):
@@ -76,36 +85,38 @@ class TestCommands:
 
     def test_figure5_subset_with_json_export(self, capsys, tmp_path):
         json_path = tmp_path / "fig5.json"
-        code = main(["figure5", "--apps", "lu", "--scale", "0.05",
+        code = main(["exp", "figure5", "--apps", "lu", "--scale", "0.05",
                      "--json", str(json_path)])
         assert code == 0
         out = capsys.readouterr().out
         assert "Figure 5" in out
         data = json.loads(json_path.read_text())
-        assert "lu" in data
-        assert "rnuma" in data["lu"]
+        assert data["axes"]["app"] == ["lu"]
+        assert "rnuma" in data["series"]
 
     def test_figure7_with_ascii_chart(self, capsys):
-        code = main(["figure7", "--apps", "lu", "--scale", "0.05", "--chart"])
+        code = main(["exp", "figure7", "--apps", "lu", "--scale", "0.05",
+                     "--chart"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "normalized execution time" in out
+        assert "Figure 7" in out
         assert "#" in out
 
     def test_table2_and_table3_need_no_simulation(self, capsys):
-        assert main(["table2"]) == 0
-        assert main(["table3"]) == 0
+        assert main(["exp", "table2"]) == 0
+        assert main(["exp", "table3"]) == 0
         out = capsys.readouterr().out
         assert "barnes" in out
         assert "soft trap" in out.lower() or "soft_trap" in out.lower()
 
     def test_table4_subset(self, capsys, tmp_path):
         csv_path = tmp_path / "t4.csv"
-        assert main(["table4", "--apps", "lu", "--scale", "0.05",
+        assert main(["exp", "table4", "--apps", "lu", "--scale", "0.05",
                      "--csv", str(csv_path)]) == 0
+        assert "Table 4" in capsys.readouterr().out
         rows = list(csv.DictReader(io.StringIO(csv_path.read_text())))
-        assert rows[0]["app"] == "lu"
-        assert "relocations_per_node" in rows[0]
+        assert {r["app"] for r in rows} == {"lu"}
+        assert "per_node_relocations" in rows[0]
 
     def test_analyze_command(self, capsys):
         assert main(["analyze", "lu", "--scale", "0.05"]) == 0
@@ -202,18 +213,16 @@ class TestExpCommand:
         assert {r["system"] for r in rows} == {"perfect", "ccnuma", "rnuma"}
 
     def test_exp_matches_legacy_figure_command_data(self, capsys, tmp_path):
-        legacy_path = tmp_path / "legacy.json"
+        # the CLI's JSON export carries exactly the library's figure data
         exp_path = tmp_path / "exp.json"
-        assert main(["figure8", "--apps", "lu", "--scale", "0.05",
-                     "--json", str(legacy_path)]) == 0
         assert main(["exp", "figure8", "--apps", "lu", "--scale", "0.05",
                      "--json", str(exp_path)]) == 0
         capsys.readouterr()
-        legacy = json.loads(legacy_path.read_text())
         exp = json.loads(exp_path.read_text())
         pivot = {r["series"]: r["normalized_time"] for r in exp["rows"]
                  if not r["is_baseline"]}
-        assert pivot == legacy["lu"]
+        direct = run_scenario("figure8", apps=("lu",), scale=0.05)
+        assert pivot == direct.figure_data()["lu"]
 
     def test_exp_static_scenario(self, capsys, tmp_path):
         md_path = tmp_path / "t3.md"

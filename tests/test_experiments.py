@@ -1,7 +1,7 @@
-"""Tests for repro.experiments: runner and per-table/figure harnesses.
+"""Tests for repro.experiments: runner and per-table/figure scenarios.
 
 Run at very small scale — the aim is structural correctness of every
-harness plus a handful of shape assertions that must hold even on tiny
+table/figure scenario plus a handful of shape assertions that must hold even on tiny
 traces (e.g. the slow-page-op system is never faster than the fast one on
 the same trace).
 """
@@ -12,20 +12,19 @@ import pytest
 
 from repro.config import base_config, long_latency_config, slow_page_ops_config
 from repro.experiments import runner
-from repro.experiments.figure5 import (
+from repro.experiments.scenario import default_render, get_scenario, run_scenario
+from repro.experiments.scenarios import (
     FIGURE5_SYSTEMS,
-    normalized_times,
-    render_figure5,
-    run_figure5,
-    run_figure5_app,
+    FIGURE7_SYSTEMS,
+    FIGURE8_SYSTEMS,
+    TABLE1_MECHANISMS,
+    TABLE1_SCENARIOS,
+    TABLE4_SYSTEMS,
+    table1_matrix,
+    table2_rows,
+    table3_rows,
+    table4_rows,
 )
-from repro.experiments.figure6 import render_figure6, run_figure6_app
-from repro.experiments.figure7 import FIGURE7_SYSTEMS, render_figure7, run_figure7_app
-from repro.experiments.figure8 import FIGURE8_SYSTEMS, render_figure8, run_figure8_app
-from repro.experiments.table1 import MECHANISMS, SCENARIOS, render_table1, run_table1
-from repro.experiments.table2 import render_table2, run_table2
-from repro.experiments.table3 import render_table3, run_table3
-from repro.experiments.table4 import TABLE4_SYSTEMS, render_table4, run_table4_app
 from repro.workloads import get_workload
 
 SCALE = 0.02  # tiny traces: every experiment test must stay fast
@@ -68,20 +67,25 @@ class TestRunner:
         assert set(results) == {"ccnuma"}
 
 
+def render(name, **kwargs):
+    """Run a registered scenario and render it as ``repro exp`` does."""
+    rs = run_scenario(name, **kwargs)
+    return rs, (get_scenario(name).renderer or default_render)(rs)
+
+
 class TestFigure5:
     def test_single_app(self, cfg):
-        results = run_figure5_app("ocean", config=cfg, scale=SCALE,
-                                  systems=("ccnuma", "rnuma"))
-        assert "perfect" in results
-        times = normalized_times(results)
+        rs = run_scenario("figure5", apps=("ocean",), config=cfg,
+                          scale=SCALE, systems=("ccnuma", "rnuma"))
+        assert rs.only(system="perfect")["is_baseline"]
+        times = rs.figure_data()["ocean"]
         assert set(times) == {"ccnuma", "rnuma"}
         assert all(v >= 0.99 for v in times.values())
 
     def test_run_figure5_structure_and_render(self, cfg):
-        data = run_figure5(apps=["ocean", "lu"], config=cfg, scale=SCALE,
-                           systems=("ccnuma", "rnuma"))
-        assert set(data) == {"ocean", "lu"}
-        text = render_figure5(data, systems=("ccnuma", "rnuma"))
+        rs, text = render("figure5", apps=["ocean", "lu"], config=cfg,
+                          scale=SCALE, systems=("ccnuma", "rnuma"))
+        assert set(rs.figure_data()) == {"ocean", "lu"}
         assert "Figure 5" in text and "ocean" in text and "geo-mean" in text
 
     def test_default_system_list_matches_paper_legend(self):
@@ -91,84 +95,85 @@ class TestFigure5:
 
 class TestTable4:
     def test_row_structure(self, cfg):
-        row = run_table4_app("ocean", config=cfg, scale=SCALE)
+        rs, text = render("table4", apps=("ocean",), config=cfg, scale=SCALE)
+        [row] = table4_rows(rs)
         assert row.app == "ocean"
         assert set(row.misses) == set(TABLE4_SYSTEMS)
         assert set(row.capacity_conflict) == set(TABLE4_SYSTEMS)
         for system in TABLE4_SYSTEMS:
             assert row.capacity_conflict[system] <= row.misses[system]
-        text = render_table4([row])
         assert "Table 4" in text and "ocean" in text
 
 
 class TestFigure6:
     def test_slow_page_ops_never_faster(self, cfg):
-        data = run_figure6_app("ocean", scale=SCALE,
-                               fast_config=base_config(seed=0),
-                               slow_config=slow_page_ops_config(seed=0))
+        rs, text = render("figure6", apps=("ocean",), scale=SCALE,
+                          configs={"fast": base_config(seed=0),
+                                   "slow": slow_page_ops_config(seed=0)})
+        data = rs.figure_data()["ocean"]
         assert set(data) == {"migrep-fast", "migrep-slow",
                              "rnuma-fast", "rnuma-slow"}
         assert data["migrep-slow"] >= data["migrep-fast"] - 1e-9
         assert data["rnuma-slow"] >= data["rnuma-fast"] - 1e-9
-        text = render_figure6({"ocean": data})
         assert "Figure 6" in text
 
 
 class TestFigure7:
     def test_long_latency_hurts_ccnuma_most(self, cfg):
-        base_data = run_figure5_app("ocean", config=cfg, scale=SCALE,
-                                    systems=("ccnuma",))
-        base_norm = normalized_times(base_data)["ccnuma"]
-        long_data = run_figure7_app("ocean", scale=SCALE,
-                                    config=long_latency_config(seed=0))
+        base = run_scenario("figure5", apps=("ocean",), config=cfg,
+                            scale=SCALE, systems=("ccnuma",))
+        base_norm = base.figure_data()["ocean"]["ccnuma"]
+        rs, text = render("figure7", apps=("ocean",), scale=SCALE,
+                          config=long_latency_config(seed=0))
+        long_data = rs.figure_data()["ocean"]
         assert set(long_data) == set(FIGURE7_SYSTEMS)
         # CC-NUMA's normalized time grows when remote latency quadruples
         assert long_data["ccnuma"] >= base_norm - 0.05
-        text = render_figure7({"ocean": long_data})
         assert "Figure 7" in text
 
 
 class TestFigure8:
     def test_systems_and_render(self, cfg):
-        data = run_figure8_app("ocean", config=cfg, scale=SCALE)
-        assert set(data) == set(FIGURE8_SYSTEMS)
-        text = render_figure8({"ocean": data})
+        rs, text = render("figure8", apps=("ocean",), config=cfg, scale=SCALE)
+        assert set(rs.figure_data()["ocean"]) == set(FIGURE8_SYSTEMS)
         assert "Figure 8" in text and "rnuma-half" in text
 
 
 class TestTables123:
     def test_table1_matrix_structure(self):
-        matrix = run_table1(scale=0.5)
-        assert set(matrix) == set(MECHANISMS)
+        rs, text = render("table1", scale=0.5)
+        matrix = table1_matrix(rs)
+        assert set(matrix) == set(TABLE1_MECHANISMS)
         for cells in matrix.values():
-            assert set(cells) == set(SCENARIOS)
+            assert set(cells) == set(TABLE1_SCENARIOS)
         # R-NUMA reduces misses in the high-degree read-write scenario;
         # migration and replication do not (Table 1's key contrast)
         assert matrix["R-NUMA"]["rw_high_degree"].reduces_misses
         assert not matrix["Page Migration"]["rw_high_degree"].reduces_misses
         assert not matrix["Page Replication"]["rw_high_degree"].reduces_misses
-        text = render_table1(matrix)
         assert "Table 1" in text
 
     def test_table2_rows(self):
-        rows = run_table2()
+        rows = table2_rows()
         assert len(rows) == 7
-        apps = [r.app for r in rows]
+        apps = [r["app"] for r in rows]
         assert apps == ["barnes", "cholesky", "fmm", "lu", "ocean", "radix",
                         "raytrace"]
-        lu = next(r for r in rows if r.app == "lu")
-        assert "512x512" in lu.paper_input
-        text = render_table2(rows)
+        lu = next(r for r in rows if r["app"] == "lu")
+        assert "512x512" in lu["paper_input"]
+        rs, text = render("table2")
+        assert rs.rows == rows
         assert "Table 2" in text and "raytrace" in text
 
     def test_table3_matches_paper(self):
-        rows = run_table3()
-        assert all(r.matches for r in rows), \
+        rows = table3_rows()
+        assert all(r["matches"] for r in rows), \
             "default CostModel must reproduce the paper's Table 3"
-        text = render_table3(rows)
+        rs, text = render("table3")
+        assert rs.rows == rows
         assert "Table 3" in text
 
     def test_table3_detects_mismatch(self):
         from repro.config import CostModel
-        rows = run_table3(CostModel(remote_miss=500))
-        assert any(not r.matches for r in rows)
+        rows = table3_rows(CostModel(remote_miss=500))
+        assert any(not r["matches"] for r in rows)

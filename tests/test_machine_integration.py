@@ -161,3 +161,29 @@ class TestFactory:
         assert build_system("rnuma").uses_page_cache
         assert build_system("rnuma-inf").infinite_page_cache
         assert build_system("rnuma-half").page_cache_fraction == 0.5
+
+
+class TestRunsFreeByRefcount:
+    """A finished run's machine graph (caches, stores, page records) is
+    freed by reference counting the moment it is dropped: no object of it
+    sits in a reference cycle waiting for the cyclic collector."""
+
+    @pytest.mark.parametrize("engine", ["kernel", "legacy"])
+    def test_dropped_machines_leave_no_cyclic_garbage(self, engine):
+        import gc
+
+        from repro.config import base_config
+        from repro.workloads import get_workload
+
+        cfg = base_config(seed=0)
+        trace = get_workload("lu", machine=cfg.machine, scale=0.01, seed=0)
+        # warm the engine (first-use imports and builds) before counting
+        Machine(cfg, build_system("ccnuma")).run(trace, engine=engine)
+        gc.collect()
+        gc.disable()
+        try:
+            for system in SYSTEM_NAMES:
+                Machine(cfg, build_system(system)).run(trace, engine=engine)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

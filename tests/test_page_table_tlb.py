@@ -19,6 +19,16 @@ class TestPageTable:
         assert not pt.is_mapped(5)
         assert pt.peek(5) is None
 
+    def test_entry_views_are_live_and_uncached(self):
+        pt = PageTable(0)
+        held = pt.map_page(5, PageMode.CCNUMA_REMOTE)
+        other = pt.entry(5)
+        assert other is not held        # the table keeps no view objects
+        other.mode = PageMode.SCOMA
+        other.writable = False
+        assert held.mode is PageMode.SCOMA and not held.writable
+        assert pt.peek(5).mode is PageMode.SCOMA
+
     def test_map_page_counts_fault(self):
         pt = PageTable(0)
         entry = pt.map_page(5, PageMode.CCNUMA_REMOTE)

@@ -2,9 +2,9 @@
 
 Covers Scenario axis expansion, baseline normalisation, the ResultSet
 artifact (pivot / mean / filter / export round-trips), and — critically —
-equivalence: the legacy ``run_figureN`` / ``run_tableN`` shims must return
-*bit-identical* data to an independent reimplementation of the original
-(pre-scenario) pipelines built directly on the runner primitives.
+equivalence: the figure/table scenarios must return *bit-identical* data
+to an independent reimplementation of the original (pre-scenario)
+pipelines built directly on the runner primitives.
 """
 
 from __future__ import annotations
@@ -16,11 +16,13 @@ import json
 import pytest
 
 from repro.config import base_config, slow_page_ops_config
-from repro.experiments.figure5 import FIGURE5_SYSTEMS, run_figure5
-from repro.experiments.figure6 import run_figure6
 from repro.experiments.runner import SweepRunner, run_experiment, run_systems
 from repro.experiments.scenario import ResultSet, Scenario, run_scenario
-from repro.experiments.table4 import TABLE4_SYSTEMS, run_table4
+from repro.experiments.scenarios import (
+    FIGURE5_SYSTEMS,
+    TABLE4_SYSTEMS,
+    table4_rows,
+)
 from repro.registry import SCENARIOS, register_scenario
 from repro.stats.export import export_resultset, render_resultset
 from repro.workloads import get_workload
@@ -171,7 +173,7 @@ class TestResultSet:
 
 
 class TestShimEquivalence:
-    """Legacy entry points vs the original pipelines, bit for bit."""
+    """The paper's scenarios vs the original pipelines, bit for bit."""
 
     def test_run_figure5_matches_original_pipeline(self):
         # independent reimplementation of the pre-scenario figure 5 code
@@ -184,7 +186,8 @@ class TestShimEquivalence:
             expected[app] = {name: res.execution_time / baseline
                              for name, res in results.items()
                              if name != "perfect"}
-        assert run_figure5(apps=APPS, scale=SCALE, seed=0) == expected
+        rs = run_scenario("figure5", apps=APPS, scale=SCALE, seed=0)
+        assert rs.figure_data() == expected
 
     def test_run_figure6_matches_original_pipeline(self):
         fast = base_config(seed=0)
@@ -203,11 +206,13 @@ class TestShimEquivalence:
                 "migrep-slow": slow_res["migrep"].execution_time / baseline,
                 "rnuma-slow": slow_res["rnuma"].execution_time / baseline,
             }
-        assert run_figure6(apps=APPS, scale=SCALE, seed=0) == expected
+        rs = run_scenario("figure6", apps=APPS, scale=SCALE, seed=0)
+        assert rs.figure_data() == expected
 
     def test_run_table4_matches_original_pipeline(self):
         cfg = base_config(seed=0)
-        rows = run_table4(apps=APPS, scale=SCALE, seed=0)
+        rows = table4_rows(run_scenario("table4", apps=APPS, scale=SCALE,
+                                        seed=0))
         for app, row in zip(APPS, rows):
             trace = get_workload(app, machine=cfg.machine, scale=SCALE, seed=0)
             results = run_systems(trace, TABLE4_SYSTEMS, cfg, baseline=None)
@@ -226,11 +231,13 @@ class TestShimEquivalence:
                 for name, res in results.items()}
 
     def test_shims_share_one_runner_memo(self):
-        # the same runner passed to two shims must reuse the baseline runs
+        # the same runner passed to two scenarios must reuse the base runs
         with SweepRunner() as runner:
-            run_figure5(apps=("lu",), scale=SCALE, seed=0, runner=runner)
+            run_scenario("figure5", apps=("lu",), scale=SCALE, seed=0,
+                         runner=runner)
             runs_before = runner.stats.runs
-            run_table4(apps=("lu",), scale=SCALE, seed=0, runner=runner)
+            run_scenario("table4", apps=("lu",), scale=SCALE, seed=0,
+                         runner=runner)
             # table4's ccnuma/migrep/rnuma runs are already memoized
             assert runner.stats.runs == runs_before
 

@@ -188,6 +188,22 @@ class TestInflightDedupe:
         finally:
             client.shutdown()
 
+    def test_runner_holds_no_traces_after_a_submission(self, sock):
+        # the daemon's runner outlives every plan: its trace memo must not
+        # grow with each submission, while its result memo still serves
+        # resubmissions
+        service = SweepService(sock, jobs=1)
+        _start(service)
+        client = ServiceClient(sock)
+        try:
+            client.submit("figure5", **SCENARIO_KW)
+            assert service.runner._traces == {}
+            again = client.submit("figure5", **SCENARIO_KW)
+            assert again.runner_stats["runs"] == 0
+            assert service.runner._traces == {}
+        finally:
+            client.shutdown()
+
     def test_progress_events_stream(self, sock):
         # the legacy engine keeps the sweep multi-second (the compiled
         # kernel finishes it within one progress interval)
